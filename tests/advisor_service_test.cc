@@ -1,7 +1,8 @@
 // AdvisorService: event-queue FIFO under concurrent producers, warm
 // repair bit-identity on no-op drift, targeted cache invalidation
 // (only the drifted/departed tenant's entries go), admission onto the
-// least-loaded machine, and graceful shutdown draining in-flight events.
+// least-loaded machine, graceful shutdown draining in-flight events, and
+// the armed saturation-migration path at one and four workers.
 #include "service/advisor_service.h"
 
 #include <gtest/gtest.h>
@@ -412,6 +413,72 @@ TEST(AdvisorServiceMultiWorkerTest, DepartureRedistributesUnderShardedLoop) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Armed migration: default ServiceOptions (saturation threshold 10, one
+// accepted move per event, two candidates) on three identical machines,
+// so drifts, the departure and the Reconfigure all run as global epochs
+// and the saturation repair accepts some moves and rolls others back.
+// ---------------------------------------------------------------------------
+
+struct ArmedRun {
+  FleetSnapshot snapshot;
+  int migrations = 0;
+};
+
+ArmedRun RunArmedSchedule(int workers) {
+  scenario::Testbed& tb = TB();
+  ServiceOptions options;
+  options.workers = workers;
+  AdvisorService service(
+      std::vector<FleetMachine>(3, FleetMachine{tb.machine(),
+                                                &tb.pg_calibration(),
+                                                &tb.db2_calibration()}),
+      options);
+  std::vector<std::future<EventOutcome>> futures;
+  for (int i = 0; i < 9; ++i) {
+    Tenant tenant = ServiceTenant(i);
+    if (i % 3 == 0) tenant.qos.degradation_limit = 2.0;
+    futures.push_back(service.SubmitArrival(std::move(tenant)));
+  }
+  for (int i = 0; i < 9; ++i) {
+    futures.push_back(service.SubmitDrift(i, ServiceTenant(i, 6.0).workload));
+  }
+  futures.push_back(service.SubmitDeparture(4));
+  futures.push_back(service.SubmitReconfigure());
+  ArmedRun run;
+  for (std::future<EventOutcome>& future : futures) {
+    EventOutcome out = future.get();
+    EXPECT_TRUE(out.ok) << out.error;
+    run.migrations += out.migrations;
+  }
+  run.snapshot = service.Snapshot();
+  return run;
+}
+
+TEST(AdvisorServiceMigrationTest, ArmedScheduleIsPinnedAndWorkerInvariant) {
+  const ArmedRun serial = RunArmedSchedule(1);
+  const ArmedRun sharded = RunArmedSchedule(4);
+  EXPECT_GT(serial.migrations, 0);
+  EXPECT_EQ(sharded.migrations, serial.migrations);
+
+  const FleetSnapshot& want = serial.snapshot;
+  const FleetSnapshot& got = sharded.snapshot;
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(got.violated_qos, want.violated_qos);
+  EXPECT_EQ(got.objective, want.objective);  // bitwise, not near
+  EXPECT_EQ(got.events_handled, want.events_handled);
+  ASSERT_EQ(got.allocations.size(), want.allocations.size());
+  for (size_t id = 0; id < want.allocations.size(); ++id) {
+    EXPECT_EQ(got.allocations[id], want.allocations[id]) << id;
+    EXPECT_EQ(got.estimated_seconds[id], want.estimated_seconds[id]) << id;
+  }
+
+  // Pinned values: any change to the migration policy that moves a
+  // decision (a move accepted or rolled back differently) shows up here.
+  EXPECT_EQ(want.assignment, (std::vector<int>{0, 0, 2, 1, -1, 0, 2, 0, 1}));
+  EXPECT_DOUBLE_EQ(want.objective, 1881.7349118091738);
 }
 
 }  // namespace
