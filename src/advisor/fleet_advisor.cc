@@ -12,13 +12,14 @@
 
 namespace vdba::advisor {
 
-namespace {
-
-/// Slack for capacity / objective comparisons (mirrors kShareEpsilon's
-/// role in the enumerators).
-constexpr double kFleetEpsilon = 1e-12;
-
-}  // namespace
+Tenant FleetMachine::Bind(Tenant tenant) const {
+  if (tenant.engine != nullptr) {
+    const calib::CalibrationModel* model =
+        CalibrationFor(tenant.engine->flavor());
+    if (model != nullptr) tenant.calibration = model;
+  }
+  return tenant;
+}
 
 bool SameMachineClass(const FleetMachine& a, const FleetMachine& b) {
   return a.hardware.cpu_ops_per_sec == b.hardware.cpu_ops_per_sec &&
@@ -31,6 +32,91 @@ bool SameMachineClass(const FleetMachine& a, const FleetMachine& b) {
          a.hardware.resources == b.hardware.resources &&
          a.pg_calibration == b.pg_calibration &&
          a.db2_calibration == b.db2_calibration;
+}
+
+// ---------------------------------------------------------------------------
+// Migration policy
+// ---------------------------------------------------------------------------
+
+int ReliefProbe::MostSaturated(double* worst) const {
+  int dim = -1;
+  for (size_t d = 0; d < saturation.size(); ++d) {
+    if (saturation[d] > *worst + kFleetEpsilon) {
+      *worst = saturation[d];
+      dim = static_cast<int>(d);
+    }
+  }
+  return dim;
+}
+
+ReliefProbe ProbeRelief(WhatIfCostEstimator* estimator,
+                        const std::vector<int>& slots,
+                        const std::vector<simvm::ResourceVector>& allocations,
+                        const std::vector<double>& seconds) {
+  const int dims = estimator->num_dims();
+  std::vector<TenantAllocation> probes;
+  probes.reserve(slots.size() * static_cast<size_t>(dims));
+  for (int slot : slots) {
+    for (int d = 0; d < dims; ++d) {
+      simvm::ResourceVector r = allocations[static_cast<size_t>(slot)];
+      r.set(d, 1.0);
+      probes.push_back(TenantAllocation{slot, r});
+    }
+  }
+  std::vector<double> relieved = estimator->EstimateMany(probes);
+
+  ReliefProbe probe;
+  probe.relief.assign(slots.size(),
+                      std::vector<double>(static_cast<size_t>(dims), 0.0));
+  probe.saturation.assign(static_cast<size_t>(dims), 0.0);
+  for (size_t j = 0; j < slots.size(); ++j) {
+    const size_t slot = static_cast<size_t>(slots[j]);
+    const double gain = estimator->tenants()[slot].qos.gain_factor;
+    for (int d = 0; d < dims; ++d) {
+      double saved = seconds[slot] - relieved[j * static_cast<size_t>(dims) +
+                                              static_cast<size_t>(d)];
+      double relief = std::max(0.0, saved);
+      probe.relief[j][static_cast<size_t>(d)] = relief;
+      probe.saturation[static_cast<size_t>(d)] += gain * relief;
+    }
+  }
+  return probe;
+}
+
+int LeastLoadedMachine(int num_machines, int source,
+                       const std::function<double(int)>& cost) {
+  int dst = -1;
+  double least = std::numeric_limits<double>::infinity();
+  for (int m = 0; m < num_machines; ++m) {
+    if (m == source) continue;
+    const double load = cost(m);
+    if (load < least - kFleetEpsilon) {
+      least = load;
+      dst = m;
+    }
+  }
+  return dst;
+}
+
+std::vector<int> RankMoveCandidates(const ReliefProbe& probe, int dim,
+                                    int max_candidates) {
+  std::vector<int> rows(probe.relief.size());
+  std::iota(rows.begin(), rows.end(), 0);
+  std::stable_sort(rows.begin(), rows.end(), [&](int a, int b) {
+    return probe.relief[static_cast<size_t>(a)][static_cast<size_t>(dim)] >
+           probe.relief[static_cast<size_t>(b)][static_cast<size_t>(dim)];
+  });
+  if (rows.size() > static_cast<size_t>(max_candidates)) {
+    rows.resize(static_cast<size_t>(max_candidates));
+  }
+  return rows;
+}
+
+bool AcceptMove(double old_cost, const std::set<int>& old_violations,
+                double new_cost, const std::set<int>& new_violations) {
+  return new_cost < old_cost - kFleetEpsilon &&
+         std::includes(old_violations.begin(), old_violations.end(),
+                       new_violations.begin(), new_violations.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -161,14 +247,11 @@ std::vector<std::string> RegisteredPlacementPolicies() {
 struct FleetAdvisor::BinState {
   std::vector<int> tenant_ids;  ///< Global ids, ascending.
   Recommendation rec;
-  /// relief[j][d]: estimated seconds bin tenant j would save if dimension
-  /// d of its machine were uncontended (share 1.0 instead of its
-  /// allocation) — max(0, est_at_alloc - est_at_dim_full).
-  std::vector<std::vector<double>> relief;
-  /// Gain-weighted total relief per dimension: how many objective seconds
-  /// this machine's scarcity of dimension d costs. The most saturated
-  /// (machine, dimension) pair is the migration loop's move source.
-  std::vector<double> saturation;
+  /// Gain-weighted estimated seconds of the bin's tenants.
+  double cost = 0.0;
+  /// Relief rows follow tenant_ids (empty for an idle box). The most
+  /// saturated (machine, dimension) pair is the migration loop's source.
+  ReliefProbe relief;
 };
 
 FleetAdvisor::FleetAdvisor(std::vector<FleetMachine> machines,
@@ -182,13 +265,6 @@ FleetAdvisor::FleetAdvisor(std::vector<FleetMachine> machines,
   for (const FleetMachine& m : machines_) {
     VDBA_CHECK(m.hardware.resources != nullptr);
   }
-}
-
-Tenant FleetAdvisor::BoundTenant(int i, const FleetMachine& m) const {
-  Tenant t = tenants_[static_cast<size_t>(i)];
-  const calib::CalibrationModel* model = m.CalibrationFor(t.engine->flavor());
-  if (model != nullptr) t.calibration = model;
-  return t;
 }
 
 std::vector<std::vector<double>> FleetAdvisor::ProbeDemandMatrix() {
@@ -231,7 +307,7 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemandMatrix() {
     std::vector<Tenant> bound;
     bound.reserve(static_cast<size_t>(t));
     for (int i = 0; i < t; ++i) {
-      bound.push_back(BoundTenant(i, machine));
+      bound.push_back(machine.Bind(tenants_[static_cast<size_t>(i)]));
     }
     WhatIfCostEstimator estimator(machine.hardware, std::move(bound),
                                   est_opts);
@@ -268,14 +344,14 @@ FleetAdvisor::BinState FleetAdvisor::SolveBin(
     int machine, std::vector<int> tenant_ids) const {
   BinState bin;
   bin.tenant_ids = std::move(tenant_ids);
-  const FleetMachine& fm = machines_[static_cast<size_t>(machine)];
-  const int dims = fm.hardware.resources->dims();
-  bin.saturation.assign(static_cast<size_t>(dims), 0.0);
   if (bin.tenant_ids.empty()) return bin;  // idle box
+  const FleetMachine& fm = machines_[static_cast<size_t>(machine)];
 
   std::vector<Tenant> bound;
   bound.reserve(bin.tenant_ids.size());
-  for (int id : bin.tenant_ids) bound.push_back(BoundTenant(id, fm));
+  for (int id : bin.tenant_ids) {
+    bound.push_back(fm.Bind(tenants_[static_cast<size_t>(id)]));
+  }
 
   AdvisorOptions adv_opts = options_.advisor;
   if (num_machines() > 1) {
@@ -287,42 +363,16 @@ FleetAdvisor::BinState FleetAdvisor::SolveBin(
   VirtualizationDesignAdvisor adv(fm.hardware, std::move(bound), adv_opts);
   bin.rec = adv.Recommend();
 
-  // Saturation probes: what would each tenant's cost be if one dimension
-  // were uncontended? One cross-tenant EstimateMany fan-out per bin.
-  const size_t n = bin.tenant_ids.size();
-  std::vector<TenantAllocation> probes;
-  probes.reserve(n * static_cast<size_t>(dims));
-  for (size_t j = 0; j < n; ++j) {
-    for (int d = 0; d < dims; ++d) {
-      simvm::ResourceVector r = bin.rec.allocations[j];
-      r.set(d, 1.0);
-      probes.push_back(TenantAllocation{static_cast<int>(j), r});
-    }
-  }
-  std::vector<double> relieved = adv.estimator()->EstimateMany(probes);
-  bin.relief.assign(n, std::vector<double>(static_cast<size_t>(dims), 0.0));
-  for (size_t j = 0; j < n; ++j) {
-    const double gain =
-        tenants_[static_cast<size_t>(bin.tenant_ids[j])].qos.gain_factor;
-    for (int d = 0; d < dims; ++d) {
-      double saved = bin.rec.estimated_seconds[j] -
-                     relieved[j * static_cast<size_t>(dims) +
-                              static_cast<size_t>(d)];
-      double relief = std::max(0.0, saved);
-      bin.relief[j][static_cast<size_t>(d)] = relief;
-      bin.saturation[static_cast<size_t>(d)] += gain * relief;
-    }
-  }
-  return bin;
-}
-
-double FleetAdvisor::BinCost(const BinState& bin) const {
-  double cost = 0.0;
   for (size_t j = 0; j < bin.tenant_ids.size(); ++j) {
-    cost += tenants_[static_cast<size_t>(bin.tenant_ids[j])].qos.gain_factor *
-            bin.rec.estimated_seconds[j];
+    bin.cost += tenants_[static_cast<size_t>(bin.tenant_ids[j])]
+                    .qos.gain_factor *
+                bin.rec.estimated_seconds[j];
   }
-  return cost;
+  std::vector<int> rows(bin.tenant_ids.size());
+  std::iota(rows.begin(), rows.end(), 0);
+  bin.relief = ProbeRelief(adv.estimator(), rows, bin.rec.allocations,
+                           bin.rec.estimated_seconds);
+  return bin;
 }
 
 FleetRecommendation FleetAdvisor::Recommend() {
@@ -394,95 +444,57 @@ FleetRecommendation FleetAdvisor::Recommend() {
 
   // --- Migration repair ---------------------------------------------------
   if (options_.migrate && p > 1) {
+    auto violations = [](const BinState& a, const BinState& b) {
+      std::set<int> ids;
+      for (const BinState* bin : {&a, &b}) {
+        for (int local : bin->rec.violated_qos) {
+          ids.insert(bin->tenant_ids[static_cast<size_t>(local)]);
+        }
+      }
+      return ids;
+    };
     while (result.migrations < options_.max_migrations) {
       // Source: the (machine, dimension) whose scarcity costs the fleet
       // the most objective seconds.
       int src = -1, dim = -1;
       double worst = 0.0;
       for (int m = 0; m < p; ++m) {
-        const BinState& bin = solved[static_cast<size_t>(m)];
-        if (bin.tenant_ids.empty()) continue;
-        for (size_t d = 0; d < bin.saturation.size(); ++d) {
-          if (bin.saturation[d] > worst + kFleetEpsilon) {
-            worst = bin.saturation[d];
-            src = m;
-            dim = static_cast<int>(d);
-          }
+        const int d = solved[static_cast<size_t>(m)].relief.MostSaturated(
+            &worst);
+        if (d >= 0) {
+          src = m;
+          dim = d;
         }
       }
       if (src < 0) break;  // nothing is contended anywhere
-
-      // Destination: the least-loaded other machine.
-      int dst = -1;
-      double least = std::numeric_limits<double>::infinity();
-      for (int m = 0; m < p; ++m) {
-        if (m == src) continue;
-        double load = BinCost(solved[static_cast<size_t>(m)]);
-        if (load < least - kFleetEpsilon) {
-          least = load;
-          dst = m;
-        }
-      }
+      const int dst = LeastLoadedMachine(p, src, [&](int m) {
+        return solved[static_cast<size_t>(m)].cost;
+      });
       if (dst < 0) break;
 
-      // Offer the worst-degraded tenants of the saturated dimension, in
-      // decreasing relief order (ties: lower id).
       const BinState& src_bin = solved[static_cast<size_t>(src)];
-      std::vector<size_t> candidates(src_bin.tenant_ids.size());
-      std::iota(candidates.begin(), candidates.end(), 0);
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [&](size_t a, size_t b) {
-                         return src_bin.relief[a][static_cast<size_t>(dim)] >
-                                src_bin.relief[b][static_cast<size_t>(dim)];
-                       });
-      if (candidates.size() >
-          static_cast<size_t>(options_.migration_candidates)) {
-        candidates.resize(static_cast<size_t>(options_.migration_candidates));
-      }
-
-      std::set<int> old_violations;
-      for (int local : src_bin.rec.violated_qos) {
-        old_violations.insert(
-            src_bin.tenant_ids[static_cast<size_t>(local)]);
-      }
-      for (int local : solved[static_cast<size_t>(dst)].rec.violated_qos) {
-        old_violations.insert(
-            solved[static_cast<size_t>(dst)]
-                .tenant_ids[static_cast<size_t>(local)]);
-      }
-      const double old_pair_cost =
-          BinCost(src_bin) + BinCost(solved[static_cast<size_t>(dst)]);
-
+      const BinState& dst_bin = solved[static_cast<size_t>(dst)];
+      const std::set<int> old_violations = violations(src_bin, dst_bin);
+      const double old_pair_cost = src_bin.cost + dst_bin.cost;
       bool accepted = false;
-      for (size_t cand : candidates) {
-        const int mover = src_bin.tenant_ids[cand];
+      for (int cand : RankMoveCandidates(src_bin.relief, dim,
+                                         options_.migration_candidates)) {
+        const int mover = src_bin.tenant_ids[static_cast<size_t>(cand)];
         ++result.migration_attempts;
 
-        std::vector<int> src_ids, dst_ids;
+        std::vector<int> src_ids, dst_ids = dst_bin.tenant_ids;
         for (int id : src_bin.tenant_ids) {
           if (id != mover) src_ids.push_back(id);
         }
-        dst_ids = solved[static_cast<size_t>(dst)].tenant_ids;
         dst_ids.insert(
             std::upper_bound(dst_ids.begin(), dst_ids.end(), mover), mover);
 
+        // Cold re-solve of both bins.
         BinState new_src = SolveBin(src, std::move(src_ids));
         BinState new_dst = SolveBin(dst, std::move(dst_ids));
-
-        // Accept only cost-improving moves that introduce no NEW QoS
-        // violation (a violation the pre-move state already had may
-        // persist — migration must never make QoS worse).
-        bool new_violation = false;
-        for (const BinState* bin : {&new_src, &new_dst}) {
-          for (int local : bin->rec.violated_qos) {
-            if (!old_violations.contains(
-                    bin->tenant_ids[static_cast<size_t>(local)])) {
-              new_violation = true;
-            }
-          }
-        }
-        double new_pair_cost = BinCost(new_src) + BinCost(new_dst);
-        if (!new_violation && new_pair_cost < old_pair_cost - kFleetEpsilon) {
+        if (AcceptMove(old_pair_cost, old_violations,
+                       new_src.cost + new_dst.cost,
+                       violations(new_src, new_dst))) {
           solved[static_cast<size_t>(src)] = std::move(new_src);
           solved[static_cast<size_t>(dst)] = std::move(new_dst);
           ++result.migrations;
@@ -511,7 +523,7 @@ FleetRecommendation FleetAdvisor::Recommend() {
       result.violated_qos.push_back(
           bin.tenant_ids[static_cast<size_t>(local)]);
     }
-    result.total_cost += BinCost(bin);
+    result.total_cost += bin.cost;
     result.machines[static_cast<size_t>(m)] =
         MachineRecommendation{std::move(bin.tenant_ids), std::move(bin.rec)};
   }

@@ -15,10 +15,15 @@
 // only cost-improving, QoS-respecting ones. All estimation goes through
 // the batched CostEstimator entry points (EstimateMany), so PR 3's
 // cross-tenant fan-out applies inside every bin and saturation probe.
+// The migration policy itself (relief probe, destination, candidate
+// ranking, acceptance) is a set of free functions below, shared with the
+// resident AdvisorService's saturation repair.
 #ifndef VDBA_ADVISOR_FLEET_ADVISOR_H_
 #define VDBA_ADVISOR_FLEET_ADVISOR_H_
 
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,6 +36,11 @@
 #include "util/thread_pool.h"
 
 namespace vdba::advisor {
+
+/// Slack of every fleet-level capacity and objective comparison (the
+/// role kShareEpsilon plays in the enumerators): a value must beat
+/// another by more than this to count as better.
+inline constexpr double kFleetEpsilon = 1e-12;
 
 /// One physical machine in the fleet: the hardware plus the per-flavor
 /// calibration models measured ON IT. Calibration is per-DBMS-per-machine
@@ -49,6 +59,10 @@ struct FleetMachine {
     return flavor == simdb::EngineFlavor::kPostgres ? pg_calibration
                                                     : db2_calibration;
   }
+
+  /// `tenant` with its calibration re-bound to this box's model for its
+  /// flavor; unchanged when the box has none or the tenant has no engine.
+  Tenant Bind(Tenant tenant) const;
 };
 
 /// True when two fleet machines are interchangeable for what-if
@@ -59,6 +73,56 @@ struct FleetMachine {
 /// FleetAdvisor's shared demand probing and the resident AdvisorService's
 /// per-class probe reuse both key off this.
 bool SameMachineClass(const FleetMachine& a, const FleetMachine& b);
+
+// ---------------------------------------------------------------------------
+// Migration policy: the rules FleetAdvisor's repair loop and the resident
+// AdvisorService's saturation repair share. Each caller keeps only its own
+// orchestration: the fleet scans every (machine, dimension) for a source
+// and re-solves the pair cold; the service fires on a threshold, never
+// empties a machine, and moves warm with an exact rollback.
+// ---------------------------------------------------------------------------
+
+/// What one machine's incumbent would gain were a dimension uncontended.
+struct ReliefProbe {
+  /// relief[j][d]: estimated seconds probed tenant j would save were
+  /// dimension d of its allocation at share 1.0 (floored at 0).
+  std::vector<std::vector<double>> relief;
+  /// saturation[d]: gain-weighted relief summed over the tenants — the
+  /// objective seconds this machine's scarcity of d costs.
+  std::vector<double> saturation;
+
+  /// The most saturated dimension that beats *worst by more than
+  /// kFleetEpsilon (ties within it go to the lower index), raising *worst
+  /// to its saturation; -1, with *worst unchanged, when none does.
+  int MostSaturated(double* worst) const;
+};
+
+/// Relief of tenants `slots` of `estimator` at allocations[slot] against
+/// their incumbent seconds[slot], in one cross-tenant EstimateMany
+/// fan-out. Rows follow `slots`; each tenant's relief is weighted by its
+/// QosSpec::gain_factor in the saturation.
+ReliefProbe ProbeRelief(WhatIfCostEstimator* estimator,
+                        const std::vector<int>& slots,
+                        const std::vector<simvm::ResourceVector>& allocations,
+                        const std::vector<double>& seconds);
+
+/// Destination of a move off `source`: the other machine with the least
+/// gain-weighted incumbent cost `cost(m)` (ties within kFleetEpsilon go to
+/// the lower index), -1 when there is none.
+int LeastLoadedMachine(int num_machines, int source,
+                       const std::function<double(int)>& cost);
+
+/// Move candidates of a saturated machine: rows of `probe.relief`, worst
+/// relief on `dim` first (ties: lower row), at most `max_candidates`.
+std::vector<int> RankMoveCandidates(const ReliefProbe& probe, int dim,
+                                    int max_candidates);
+
+/// Whether a cross-machine move is kept: the pair's gain-weighted cost
+/// must fall by more than kFleetEpsilon, and every tenant (global id)
+/// violating its degradation limit after the move must have violated it
+/// before — migration never makes QoS worse.
+bool AcceptMove(double old_cost, const std::set<int>& old_violations,
+                double new_cost, const std::set<int>& new_violations);
 
 /// What a PlacementPolicy packs by. Demands are WHAT-IF estimates probed
 /// through each machine's calibrated estimator, so machine heterogeneity
@@ -256,12 +320,8 @@ class FleetAdvisor {
  private:
   struct BinState;
 
-  /// Tenant `i` with its calibration re-bound to machine `m`'s models.
-  Tenant BoundTenant(int i, const FleetMachine& m) const;
   /// Solves one bin and probes its per-dimension saturation relief.
   BinState SolveBin(int machine, std::vector<int> tenant_ids) const;
-  /// Gain-weighted estimated seconds of one solved bin.
-  double BinCost(const BinState& bin) const;
 
   std::vector<FleetMachine> machines_;
   std::vector<Tenant> tenants_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <set>
 #include <utility>
 
@@ -20,10 +19,6 @@ using advisor::QosSpec;
 using advisor::Tenant;
 using advisor::TenantAllocation;
 using advisor::WhatIfCostEstimator;
-
-/// Slack for objective comparisons (mirrors kFleetEpsilon's role in the
-/// fleet advisor).
-constexpr double kServiceEpsilon = 1e-12;
 
 /// Read-through view of a machine's resident estimator restricted to its
 /// OCCUPIED slots: local tenant j maps to estimator slot slots[j]. This
@@ -184,23 +179,27 @@ void AdvisorService::Complete(Event& event, EventOutcome outcome) {
 
 void AdvisorService::WorkerLoop() {
   while (std::optional<Event> event = queue_.WaitPop()) {
-    if (event->kind == EventKind::kDrift) {
-      std::vector<Event> batch;
-      batch.push_back(std::move(*event));
-      if (options_.coalesce_drift) {
-        const int id = batch.front().tenant_id;
-        while (std::optional<Event> more =
-                   queue_.PopIf([id](const Event& e) {
-                     return e.kind == EventKind::kDrift && e.tenant_id == id;
-                   })) {
-          batch.push_back(std::move(*more));
-        }
-      }
-      HandleDriftRun(batch);
-    } else {
-      Complete(*event, Handle(*event));
+    Process(std::move(*event),
+            [this](const EventMatch& match) { return queue_.PopIf(match); });
+  }
+}
+
+void AdvisorService::Process(Event event, const PopMatching& pop_more) {
+  if (event.kind != EventKind::kDrift) {
+    Complete(event, Handle(event));
+    return;
+  }
+  std::vector<Event> batch;
+  batch.push_back(std::move(event));
+  if (options_.coalesce_drift && pop_more) {
+    const int id = batch.front().tenant_id;
+    while (std::optional<Event> more = pop_more([id](const Event& e) {
+             return e.kind == EventKind::kDrift && e.tenant_id == id;
+           })) {
+      batch.push_back(std::move(*more));
     }
   }
+  HandleDriftRun(batch);
 }
 
 bool AdvisorService::MigrationArmed() const {
@@ -251,13 +250,7 @@ void AdvisorService::DispatchLoop() {
     // Global epoch: drain every in-flight lane repair, then handle the
     // cross-machine event inline with exclusive ownership of the fleet.
     lanes_->WaitIdle();
-    if (event->kind == EventKind::kDrift) {
-      std::vector<Event> batch;
-      batch.push_back(std::move(*event));
-      HandleDriftRun(batch);
-    } else {
-      Complete(*event, Handle(*event));
-    }
+    Process(std::move(*event), nullptr);
   }
   lanes_->Close();
 }
@@ -266,22 +259,9 @@ void AdvisorService::LaneWorkerLoop() {
   while (std::optional<ShardedQueue<Event>::Popped> popped =
              lanes_->PopLane()) {
     const int lane = popped->lane;
-    if (popped->item.kind == EventKind::kDrift) {
-      std::vector<Event> batch;
-      batch.push_back(std::move(popped->item));
-      if (options_.coalesce_drift) {
-        const int id = batch.front().tenant_id;
-        while (std::optional<Event> more =
-                   lanes_->PopMoreIf(lane, [id](const Event& e) {
-                     return e.kind == EventKind::kDrift && e.tenant_id == id;
-                   })) {
-          batch.push_back(std::move(*more));
-        }
-      }
-      HandleDriftRun(batch);
-    } else {
-      Complete(popped->item, Handle(popped->item));
-    }
+    Process(std::move(popped->item), [&](const EventMatch& match) {
+      return lanes_->PopMoreIf(lane, match);
+    });
     lanes_->Release(lane);
   }
 }
@@ -308,19 +288,6 @@ EventOutcome AdvisorService::Handle(Event& event) {
 // Admission
 // ---------------------------------------------------------------------------
 
-advisor::Tenant AdvisorService::BoundTenant(int m,
-                                            const advisor::Tenant& tenant)
-    const {
-  Tenant bound = tenant;
-  if (bound.engine != nullptr) {
-    const calib::CalibrationModel* model =
-        machines_[static_cast<size_t>(m)].machine.CalibrationFor(
-            bound.engine->flavor());
-    if (model != nullptr) bound.calibration = model;
-  }
-  return bound;
-}
-
 std::vector<double> AdvisorService::ProbeDemandRow(
     const advisor::Tenant& tenant) const {
   const int p = num_machines();
@@ -345,7 +312,7 @@ std::vector<double> AdvisorService::ProbeDemandRow(
       row[static_cast<size_t>(m)] = row[static_cast<size_t>(rep)];
       continue;
     }
-    WhatIfCostEstimator probe(fm.hardware, {BoundTenant(m, tenant)}, est_opts);
+    WhatIfCostEstimator probe(fm.hardware, {fm.Bind(tenant)}, est_opts);
     row[static_cast<size_t>(m)] = probe.EstimateSeconds(
         0, simvm::ResourceVector::Full(fm.hardware.resources->dims()));
     probed.push_back(m);
@@ -531,7 +498,6 @@ void AdvisorService::RepairMachine(int m,
     // finest-step move, so repairing an unchanged machine terminates
     // immediately at the incumbent — the bit-identical no-op guarantee.
     advisor::SearchSpec spec = options_.advisor.search;
-    spec.warm_start = true;
     for (int d = 0; d < simvm::kMaxResourceDims; ++d) {
       spec.enumerator.deltas[static_cast<size_t>(d)] = {
           options_.advisor.search.enumerator.FinestDelta(d)};
@@ -543,7 +509,7 @@ void AdvisorService::RepairMachine(int m,
     // including every no-op event — preserve the incumbent exactly).
     EnumerationResult incumbent =
         advisor::FinalizeEnumeration(&subset, qos, std::move(seeds));
-    chosen = repaired.objective < incumbent.objective - kServiceEpsilon
+    chosen = repaired.objective < incumbent.objective - advisor::kFleetEpsilon
                  ? std::move(repaired)
                  : std::move(incumbent);
   }
@@ -565,77 +531,25 @@ void AdvisorService::RepairMachine(int m,
 // Saturation-triggered migration
 // ---------------------------------------------------------------------------
 
-int AdvisorService::ProbeSaturation(int m, double* saturation,
-                                    std::vector<double>* slot_relief) {
-  MachineState& ms = machines_[static_cast<size_t>(m)];
-  const std::vector<int> slots = ms.OccupiedSlots();
-  *saturation = 0.0;
-  slot_relief->assign(ms.slot_tenant.size(), 0.0);
-  if (slots.empty()) return -1;
-  const int dims = ms.machine.hardware.resources->dims();
-
-  // relief[j][d] = seconds slot j would save were dimension d
-  // uncontended; one cross-tenant fan-out, same probes as
-  // FleetAdvisor::SolveBin.
-  std::vector<TenantAllocation> probes;
-  probes.reserve(slots.size() * static_cast<size_t>(dims));
-  for (int slot : slots) {
-    for (int d = 0; d < dims; ++d) {
-      simvm::ResourceVector r = ms.slot_alloc[static_cast<size_t>(slot)];
-      r.set(d, 1.0);
-      probes.push_back(TenantAllocation{slot, r});
-    }
-  }
-  std::vector<double> relieved = ms.estimator->EstimateMany(probes);
-
-  std::vector<double> dim_saturation(static_cast<size_t>(dims), 0.0);
-  std::vector<std::vector<double>> relief(
-      slots.size(), std::vector<double>(static_cast<size_t>(dims), 0.0));
-  for (size_t j = 0; j < slots.size(); ++j) {
-    const size_t slot = static_cast<size_t>(slots[j]);
-    const double gain = ms.estimator->tenants()[slot].qos.gain_factor;
-    for (int d = 0; d < dims; ++d) {
-      double saved =
-          ms.slot_cost[slot] -
-          relieved[j * static_cast<size_t>(dims) + static_cast<size_t>(d)];
-      double r = std::max(0.0, saved);
-      relief[j][static_cast<size_t>(d)] = r;
-      dim_saturation[static_cast<size_t>(d)] += gain * r;
-    }
-  }
-  int worst_dim = -1;
-  for (int d = 0; d < dims; ++d) {
-    if (dim_saturation[static_cast<size_t>(d)] >
-        *saturation + kServiceEpsilon) {
-      *saturation = dim_saturation[static_cast<size_t>(d)];
-      worst_dim = d;
-    }
-  }
-  if (worst_dim >= 0) {
-    for (size_t j = 0; j < slots.size(); ++j) {
-      (*slot_relief)[static_cast<size_t>(slots[j])] =
-          relief[j][static_cast<size_t>(worst_dim)];
-    }
-  }
-  return worst_dim;
-}
-
 bool AdvisorService::TryMigrate(int src, int slot, int dst) {
   MachineState& src_ms = machines_[static_cast<size_t>(src)];
   MachineState& dst_ms = machines_[static_cast<size_t>(dst)];
   const int id = src_ms.slot_tenant[static_cast<size_t>(slot)];
   const Tenant& original = tenants_[static_cast<size_t>(id)].original;
-  {
-    const Tenant bound = BoundTenant(dst, original);
-    if (!TenantProblem(bound).empty()) return false;  // cannot run on dst
+  if (!TenantProblem(dst_ms.machine.Bind(original)).empty()) {
+    return false;  // cannot run on dst
   }
-  const double old_pair = src_ms.cost + dst_ms.cost;
-  std::set<int> old_violations;
-  for (const MachineState* ms : {&src_ms, &dst_ms}) {
-    for (int v : ms->violated_slots) {
-      old_violations.insert(ms->slot_tenant[static_cast<size_t>(v)]);
+  auto violations = [&] {
+    std::set<int> ids;
+    for (const MachineState* ms : {&src_ms, &dst_ms}) {
+      for (int v : ms->violated_slots) {
+        ids.insert(ms->slot_tenant[static_cast<size_t>(v)]);
+      }
     }
-  }
+    return ids;
+  };
+  const double old_pair = src_ms.cost + dst_ms.cost;
+  const std::set<int> old_violations = violations();
   // Soft state to restore on rejection (slot BINDINGS are rolled back by
   // the symmetric remove/insert below; allocations and costs by these
   // copies). The estimators themselves need no rollback: values are pure
@@ -656,7 +570,7 @@ bool AdvisorService::TryMigrate(int src, int slot, int dst) {
   // Perform the move on the resident state: departure on src, arrival on
   // dst, warm repair of both.
   RemoveTenant(src, slot);
-  int dst_slot = InsertTenant(dst, BoundTenant(dst, original), id, 0.0);
+  int dst_slot = InsertTenant(dst, dst_ms.machine.Bind(original), id, 0.0);
   const int dst_dims = dst_ms.machine.hardware.resources->dims();
   const double demand_dst = dst_ms.estimator->EstimateSeconds(
       dst_slot, simvm::ResourceVector::Full(dst_dims));
@@ -669,25 +583,16 @@ bool AdvisorService::TryMigrate(int src, int slot, int dst) {
   RepairMachine(dst,
                 ArrivalSeeds(dst_ms, dst_ms.OccupiedSlots(), dst_slot));
 
-  // Accept only strict pair-cost improvement with no NEW QoS violation
-  // (the FleetAdvisor acceptance rule).
-  bool new_violation = false;
-  for (const MachineState* ms : {&src_ms, &dst_ms}) {
-    for (int v : ms->violated_slots) {
-      if (!old_violations.contains(
-              ms->slot_tenant[static_cast<size_t>(v)])) {
-        new_violation = true;
-      }
-    }
+  if (advisor::AcceptMove(old_pair, old_violations,
+                          src_ms.cost + dst_ms.cost, violations())) {
+    return true;
   }
-  const double new_pair = src_ms.cost + dst_ms.cost;
-  if (!new_violation && new_pair < old_pair - kServiceEpsilon) return true;
 
   // Roll back: symmetric departure from dst + re-insertion into src (the
   // slot just freed there is the first the freelist hands back), then
   // restore the saved allocations/costs verbatim.
   RemoveTenant(dst, dst_slot);
-  int back = InsertTenant(src, BoundTenant(src, original), id, demand_src);
+  int back = InsertTenant(src, src_ms.machine.Bind(original), id, demand_src);
   VDBA_CHECK_EQ(back, slot);
   std::lock_guard lock(state_mu_);
   std::copy(src_alloc.begin(), src_alloc.end(), src_ms.slot_alloc.begin());
@@ -702,48 +607,29 @@ bool AdvisorService::TryMigrate(int src, int slot, int dst) {
 }
 
 int AdvisorService::MaybeMigrate(int m) {
-  if (num_machines() < 2 || options_.max_migrations <= 0) return 0;
-  // An infinite threshold can never fire — skip the saturation probe
-  // outright. (This is also what lets the sharded dispatcher lane-route
-  // events whenever MigrationArmed() is false: a migration-disarmed
-  // repair provably never reads another machine.)
-  if (!std::isfinite(options_.saturation_threshold)) return 0;
+  // Disarmed migration never probes: this is also what lets the sharded
+  // dispatcher lane-route events whenever MigrationArmed() is false — a
+  // disarmed repair provably never reads another machine.
+  if (!MigrationArmed()) return 0;
+  MachineState& ms = machines_[static_cast<size_t>(m)];
   int accepted = 0;
   while (accepted < options_.max_migrations) {
+    const std::vector<int> slots = ms.OccupiedSlots();
+    const advisor::ReliefProbe probe = advisor::ProbeRelief(
+        ms.estimator.get(), slots, ms.slot_alloc, ms.slot_cost);
     double saturation = 0.0;
-    std::vector<double> slot_relief;
-    int dim = ProbeSaturation(m, &saturation, &slot_relief);
+    const int dim = probe.MostSaturated(&saturation);
     if (dim < 0 || saturation <= options_.saturation_threshold) break;
-
-    // Destination: the machine with the least gain-weighted incumbent
-    // cost (idle boxes are the natural first pick).
-    int dst = -1;
-    double least = std::numeric_limits<double>::infinity();
-    for (int k = 0; k < num_machines(); ++k) {
-      if (k == m) continue;
-      if (machines_[static_cast<size_t>(k)].cost < least - kServiceEpsilon) {
-        least = machines_[static_cast<size_t>(k)].cost;
-        dst = k;
-      }
-    }
+    const int dst = advisor::LeastLoadedMachine(
+        num_machines(), m,
+        [this](int k) { return machines_[static_cast<size_t>(k)].cost; });
     if (dst < 0) break;
+    if (slots.size() < 2) break;  // never empty a machine to repair it
 
-    // Offer the worst-relief tenants of the saturated dimension.
-    std::vector<int> candidates =
-        machines_[static_cast<size_t>(m)].OccupiedSlots();
-    if (candidates.size() < 2) break;  // never empty a machine to repair it
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&](int a, int b) {
-                       return slot_relief[static_cast<size_t>(a)] >
-                              slot_relief[static_cast<size_t>(b)];
-                     });
-    if (candidates.size() >
-        static_cast<size_t>(options_.migration_candidates)) {
-      candidates.resize(static_cast<size_t>(options_.migration_candidates));
-    }
     bool moved = false;
-    for (int slot : candidates) {
-      if (TryMigrate(m, slot, dst)) {
+    for (int row : advisor::RankMoveCandidates(
+             probe, dim, options_.migration_candidates)) {
+      if (TryMigrate(m, slots[static_cast<size_t>(row)], dst)) {
         ++accepted;
         moved = true;
         break;
@@ -765,7 +651,8 @@ EventOutcome AdvisorService::HandleArrival(Event& event) {
     return outcome;
   }
   for (int m = 0; m < num_machines(); ++m) {
-    std::string problem = TenantProblem(BoundTenant(m, event.tenant));
+    std::string problem = TenantProblem(
+        machines_[static_cast<size_t>(m)].machine.Bind(event.tenant));
     if (!problem.empty()) {
       outcome.error = "arrival refused on machine " + std::to_string(m) +
                       ": " + problem;
@@ -784,9 +671,9 @@ EventOutcome AdvisorService::HandleArrival(Event& event) {
     ts.original = event.tenant;
     tenants_.push_back(std::move(ts));
   }
-  InsertTenant(m, BoundTenant(m, event.tenant), id,
-               demand_row[static_cast<size_t>(m)]);
   MachineState& ms = machines_[static_cast<size_t>(m)];
+  InsertTenant(m, ms.machine.Bind(event.tenant), id,
+               demand_row[static_cast<size_t>(m)]);
   const std::vector<int> slots = ms.OccupiedSlots();
   RepairMachine(m, ArrivalSeeds(ms, slots, tenants_[static_cast<size_t>(id)].slot));
   outcome.migrations = MaybeMigrate(m);
@@ -904,9 +791,11 @@ EventOutcome AdvisorService::HandleReconfigure() {
       seeds.push_back(ms.slot_alloc[static_cast<size_t>(s)]);
     }
     RepairMachine(m, std::move(seeds));
+    if (!MigrationArmed()) continue;
+    const advisor::ReliefProbe probe = advisor::ProbeRelief(
+        ms.estimator.get(), slots, ms.slot_alloc, ms.slot_cost);
     double saturation = 0.0;
-    std::vector<double> slot_relief;
-    if (ProbeSaturation(m, &saturation, &slot_relief) >= 0 &&
+    if (probe.MostSaturated(&saturation) >= 0 &&
         saturation > worst_saturation) {
       worst_saturation = saturation;
       worst_machine = m;

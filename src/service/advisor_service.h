@@ -44,9 +44,11 @@
 #ifndef VDBA_SERVICE_ADVISOR_SERVICE_H_
 #define VDBA_SERVICE_ADVISOR_SERVICE_H_
 
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -259,11 +261,22 @@ class AdvisorService {
     advisor::Tenant original;
   };
 
+  /// Which queued event a loop may take next, and the loop's way of
+  /// popping it: EventQueue::PopIf serially, ShardedQueue::PopMoreIf on a
+  /// leased lane.
+  using EventMatch = std::function<bool(const Event&)>;
+  using PopMatching = std::function<std::optional<Event>(const EventMatch&)>;
+
   std::future<EventOutcome> Enqueue(Event event);
   /// The workers == 1 event loop: pops the MPSC queue in submission
   /// order and handles every event on this one thread (the PR-8 serial
   /// service).
   void WorkerLoop();
+  /// Handles one popped event. A drift first absorbs (with
+  /// coalesce_drift) the run of same-tenant drifts `pop_more` yields and
+  /// is repaired once through HandleDriftRun; any other event goes
+  /// through Handle. Null `pop_more` absorbs nothing (a global epoch).
+  void Process(Event event, const PopMatching& pop_more);
   /// The workers > 1 front half: classifies each event under state_mu_
   /// and either pushes it onto its target machine's lane or — for
   /// cross-machine events — drains every lane (global epoch) and handles
@@ -301,9 +314,6 @@ class AdvisorService {
   /// Admission: projected-load demand row through the PlacementPolicy.
   int Admit(const std::vector<double>& demand_row) const;
 
-  /// `tenant` with its calibration re-bound to machine m's models (the
-  /// FleetAdvisor rule: null machine model keeps the tenant's own).
-  advisor::Tenant BoundTenant(int m, const advisor::Tenant& tenant) const;
   /// Puts `bound` on machine m — reusing a freed estimator slot when one
   /// exists, appending otherwise — and publishes the slot binding.
   int InsertTenant(int m, advisor::Tenant bound, int global_id,
@@ -323,8 +333,7 @@ class AdvisorService {
       const simvm::ResourceVector& freed) const;
   /// Attempts moving machine src's `slot` to dst: performs the move on
   /// the resident estimators, warm-repairs both machines, and rolls the
-  /// whole thing back unless the pair objective strictly improves with no
-  /// new QoS violation.
+  /// whole thing back exactly unless advisor::AcceptMove keeps it.
   bool TryMigrate(int src, int slot, int dst);
 
   /// Warm-repairs machine m's incumbent from `seeds` (finest-step spec +
@@ -332,14 +341,10 @@ class AdvisorService {
   /// into its MachineState. Pass empty seeds for a cold solve (first
   /// arrival on a machine).
   void RepairMachine(int m, std::vector<simvm::ResourceVector> seeds);
-  /// Saturation of machine m's scarcest dimension (gain-weighted relief
-  /// seconds) and that dimension's per-slot relief, probed in one
-  /// EstimateMany fan-out. Returns the saturated dimension (-1 when
-  /// nothing is contended).
-  int ProbeSaturation(int m, double* saturation,
-                      std::vector<double>* slot_relief);
-  /// Saturation-triggered migration repair around machine m. Returns
-  /// accepted moves (<= options_.max_migrations).
+  /// Saturation-triggered migration repair around machine m through the
+  /// shared advisor migration policy (relief probe, least-loaded
+  /// destination, worst-relief candidates). Returns accepted moves
+  /// (<= options_.max_migrations); 0 without probing when disarmed.
   int MaybeMigrate(int m);
 
   /// Gain-weighted fleet objective. Takes state_mu_ — under the sharded

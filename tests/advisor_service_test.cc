@@ -415,6 +415,49 @@ TEST(AdvisorServiceMultiWorkerTest, DepartureRedistributesUnderShardedLoop) {
   }
 }
 
+TEST(AdvisorServiceMultiWorkerTest, DisarmedNoOpReconfigureCostsNoWhatIfCall) {
+  // With migration disarmed a no-op Reconfigure is one warm repair per
+  // machine that finds nothing to improve: every probe it makes is a
+  // cache hit, and no saturation probe may run for a migration that can
+  // never fire.
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::vector<FleetMachine> machines = TwoMachines();
+    machines.push_back(machines.front());
+    AdvisorService service(std::move(machines), TwoMachineOptions(workers));
+    for (int i = 0; i < 9; ++i) {
+      ASSERT_TRUE(service.SubmitArrival(ServiceTenant(i)).get().ok);
+    }
+    const FleetSnapshot before = service.Snapshot();
+    std::vector<long> calls;
+    for (int m = 0; m < service.num_machines(); ++m) {
+      ASSERT_NE(service.machine_estimator(m), nullptr) << m;
+      calls.push_back(service.machine_estimator(m)->optimizer_calls());
+    }
+
+    EventOutcome out = service.SubmitReconfigure().get();
+    ASSERT_TRUE(out.ok) << out.error;
+    EXPECT_EQ(out.migrations, 0);
+
+    for (int m = 0; m < service.num_machines(); ++m) {
+      EXPECT_EQ(service.machine_estimator(m)->optimizer_calls(),
+                calls[static_cast<size_t>(m)])
+          << "machine " << m;
+    }
+    const FleetSnapshot after = service.Snapshot();
+    EXPECT_EQ(after.events_handled, before.events_handled + 1);
+    EXPECT_EQ(after.assignment, before.assignment);
+    EXPECT_EQ(after.violated_qos, before.violated_qos);
+    EXPECT_EQ(after.objective, before.objective);  // bitwise, not near
+    ASSERT_EQ(after.allocations.size(), before.allocations.size());
+    for (size_t id = 0; id < before.allocations.size(); ++id) {
+      EXPECT_EQ(after.allocations[id], before.allocations[id]) << id;
+      EXPECT_EQ(after.estimated_seconds[id], before.estimated_seconds[id])
+          << id;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Armed migration: default ServiceOptions (saturation threshold 10, one
 // accepted move per event, two candidates) on three identical machines,
