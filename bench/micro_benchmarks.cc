@@ -245,7 +245,6 @@ void RecordWhatIfProbeThroughput() {
   auto time_arm = [&](bool vectorized, bool arena,
                       std::vector<double>* out) {
     advisor::WhatIfEstimatorOptions opts;
-    opts.vectorized_probes = vectorized;
     opts.arena_plans = arena;
     opts.batch_threads = 1;
     advisor::WhatIfCostEstimator est(

@@ -46,7 +46,6 @@ WhatIfCostEstimator::WhatIfCostEstimator(const simvm::PhysicalMachine& machine,
                                          WhatIfEstimatorOptions options)
     : machine_(machine), options_(options), tenants_(std::move(tenants)) {
   VDBA_CHECK(!tenants_.empty());
-  VDBA_CHECK_GT(options_.cache_granularity, 0.0);
   for (const Tenant& t : tenants_) ValidateTenant(t);
   observations_.resize(tenants_.size());
 }
@@ -75,7 +74,7 @@ WhatIfCostEstimator::CacheKey WhatIfCostEstimator::MakeKey(
   key.tenant = tenant;
   for (int d = 0; d < simvm::kMaxResourceDims; ++d) {
     key.q[static_cast<size_t>(d)] = static_cast<int>(
-        std::lround(r.share(d) / options_.cache_granularity));
+        std::lround(r.share(d) / kCacheGranularity));
   }
   return key;
 }
@@ -243,8 +242,8 @@ void WhatIfCostEstimator::ComputeMissesVectorized(std::vector<Miss>* misses) {
   };
 
   if (tasks.size() > 1) {
-    // Largest probe groups first: one big tenant picked up last would
-    // serialize the tail (same LPT rationale as the scalar fan-out).
+    // Largest probe groups first (LPT): one big tenant picked up last
+    // would leave one worker grinding alone at the tail.
     std::vector<size_t> order(tasks.size());
     std::iota(order.begin(), order.end(), size_t{0});
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -310,34 +309,10 @@ std::vector<double> WhatIfCostEstimator::EstimateMany(
   // One miss fan-out at a time: the pool rejects concurrent ParallelFor
   // submissions, and serializing here keeps concurrent EstimateMany
   // callers safe without a pool redesign.
-  std::unique_lock batch_lock(batch_mu_, std::defer_lock);
-  if (!misses.empty()) batch_lock.lock();
-
-  if (options_.vectorized_probes) {
-    if (!misses.empty()) ComputeMissesVectorized(&misses);
-  } else if (misses.size() > 1) {
-    // Probe-at-a-time arm: fan the distinct misses out; the what-if
-    // computation is pure, so parallel execution is bitwise-identical to
-    // sequential. Tenants are heterogeneous, so claim heavy workloads
-    // first (LPT) — a large tenant picked up last would leave one worker
-    // grinding alone at the tail.
-    std::vector<size_t> order(misses.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return tenants_[static_cast<size_t>(misses[a].tenant)]
-                 .workload.statements.size() >
-             tenants_[static_cast<size_t>(misses[b].tenant)]
-                 .workload.statements.size();
-    });
-    pool()->ParallelForOrder(order, [&](size_t m) {
-      misses[m].value = Compute(misses[m].tenant, misses[m].r,
-                                &misses[m].calls);
-    });
-  } else if (misses.size() == 1) {
-    misses[0].value = Compute(misses[0].tenant, misses[0].r,
-                              &misses[0].calls);
+  if (!misses.empty()) {
+    std::lock_guard batch_lock(batch_mu_);
+    ComputeMissesVectorized(&misses);
   }
-  if (batch_lock.owns_lock()) batch_lock.unlock();
 
   // Commit results in the order a sequential run would have: walk the
   // items, inserting each first-seen miss, counting later duplicates and

@@ -110,20 +110,11 @@ struct WhatIfObservation {
 
 /// WhatIfCostEstimator knobs.
 struct WhatIfEstimatorOptions {
-  /// Cache-key quantization granularity in share units (default 0.1%; the
-  /// enumerator moves in much larger steps, default 5%).
-  double cache_granularity = 0.001;
   /// Worker threads for EstimateBatch; 0 picks a small hardware-derived
   /// default. Results are identical for every thread count.
   int batch_threads = 0;
-  /// Route uncached probes through the batched what-if kernel
-  /// (Optimizer::OptimizeGrid): one enumeration pass per (tenant,
-  /// statement, memory-context group) prices every pending candidate.
-  /// Results are bit-identical to the scalar path; false restores the
-  /// probe-at-a-time fan-out (the benches' comparison arm).
-  bool vectorized_probes = true;
   /// Allocate grid candidate plans from pooled arena slabs (see
-  /// GridOptions::pooled_nodes); only meaningful with vectorized_probes.
+  /// GridOptions::pooled_nodes).
   bool arena_plans = true;
 };
 
@@ -149,9 +140,8 @@ class WhatIfCostEstimator : public CostEstimator {
   int num_dims() const override { return machine_.resources->dims(); }
 
   /// Parallel what-if estimation: uncached candidates go through the
-  /// vectorized probe kernel (or fan out probe-at-a-time when
-  /// vectorized_probes is off); cache and observation log end up exactly
-  /// as if the batch had run sequentially.
+  /// vectorized probe kernel; cache and observation log end up exactly as
+  /// if the batch had run sequentially.
   std::vector<double> EstimateBatch(
       int tenant,
       std::span<const simvm::ResourceVector> candidates) override;
@@ -247,6 +237,9 @@ class WhatIfCostEstimator : public CostEstimator {
     std::unordered_map<CacheKey, CacheValue, CacheKeyHash> map;
   };
   static constexpr size_t kCacheShards = 16;
+  /// Cache-key quantization granularity in share units (0.1%; the
+  /// enumerator moves in much larger steps, default 5%).
+  static constexpr double kCacheGranularity = 0.001;
 
   struct Miss;  // one distinct uncached probe of an EstimateMany batch
 

@@ -38,13 +38,8 @@ std::vector<simvm::ResourceVector> DynamicConfigurationManager::Enumerate() {
   ModelCostEstimator estimator(model_ptrs, advisor_->estimator(),
                                advisor_->estimator()->num_dims());
   std::unique_ptr<SearchStrategy> strategy = advisor_->MakeStrategy();
-  // warm_start seeds the re-enumeration from the incumbent allocation —
-  // period-to-period repair rather than a from-scratch solve. Off by
-  // default: cold enumeration is the paper's §6 behaviour.
-  std::vector<simvm::ResourceVector> initial;
-  if (advisor_->options().search.warm_start) initial = allocations_;
-  return strategy->Run(&estimator, advisor_->QosList(), std::move(initial))
-      .allocations;
+  // Cold re-enumeration from the default split: the paper's §6 behaviour.
+  return strategy->Run(&estimator, advisor_->QosList(), {}).allocations;
 }
 
 std::vector<simvm::ResourceVector> DynamicConfigurationManager::Initialize() {

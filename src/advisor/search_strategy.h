@@ -62,15 +62,6 @@ struct SearchSpec {
   /// Move grid shared by every strategy (delta steps, min_share, pinned
   /// dimensions, delta schedules).
   EnumeratorOptions enumerator;
-  /// Warm-start: seed enumeration from the incumbent allocation instead of
-  /// the default 1/N split wherever an incumbent exists. Every strategy's
-  /// Run() already accepts an `initial` allocation; this flag tells the
-  /// *callers that own an incumbent* (DynamicConfigurationManager's
-  /// re-enumeration, VirtualizationDesignAdvisor::Recommend(incumbent),
-  /// and the resident AdvisorService's repair loop) to pass it. Off by
-  /// default: cold enumeration from 1/N reproduces the paper's batch
-  /// behaviour bit-for-bit.
-  bool warm_start = false;
 };
 
 /// \brief Abstract configuration search: policy over the estimation

@@ -1,9 +1,10 @@
-// The vectorized probe path (WhatIfEstimatorOptions::vectorized_probes,
-// routing uncached probes through OptimizeGrid) must be indistinguishable
-// from the probe-at-a-time path: same estimates (exact double equality),
-// same observation logs, same optimizer-call / cache-hit counters — at
-// M = 4 with both engine flavors in the mix. Also: the sharded cache must
-// serve concurrent readers safely.
+// The vectorized probe path (EstimateMany routing uncached probes through
+// OptimizeGrid) must be indistinguishable from the CostEstimator
+// contract's own reference, an in-order EstimateSeconds loop: same
+// estimates (exact double equality), same observation logs, same
+// optimizer-call / cache-hit counters — at M = 4 with both engine flavors
+// in the mix. Also: the sharded cache must serve concurrent readers
+// safely.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -62,9 +63,8 @@ class VectorizedProbeTest : public ::testing::Test {
     return batch;
   }
 
-  WhatIfCostEstimator MakeEstimator(bool vectorized, int threads = 1) const {
+  WhatIfCostEstimator MakeEstimator(int threads = 1) const {
     WhatIfEstimatorOptions opts;
-    opts.vectorized_probes = vectorized;
     opts.batch_threads = threads;
     return WhatIfCostEstimator(tb_->machine(), tenants_, opts);
   }
@@ -76,11 +76,14 @@ class VectorizedProbeTest : public ::testing::Test {
 TEST_F(VectorizedProbeTest, MatchesScalarPathBitwise) {
   std::vector<TenantAllocation> frontier = Frontier();
 
-  WhatIfCostEstimator scalar = MakeEstimator(/*vectorized=*/false);
-  std::vector<double> want = scalar.EstimateMany(frontier);
+  WhatIfCostEstimator scalar = MakeEstimator();
+  std::vector<double> want;
+  for (const TenantAllocation& item : frontier) {
+    want.push_back(scalar.EstimateSeconds(item.tenant, item.r));
+  }
 
   for (int threads : {1, 3}) {
-    WhatIfCostEstimator vec = MakeEstimator(/*vectorized=*/true, threads);
+    WhatIfCostEstimator vec = MakeEstimator(threads);
     std::vector<double> got = vec.EstimateMany(frontier);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
@@ -121,7 +124,7 @@ TEST_F(VectorizedProbeTest, EstimateSecondsAgreesWithBatchedValues) {
   // Interleaving the scalar entry point with batched calls must hit the
   // same cache entries, not recompute.
   std::vector<TenantAllocation> frontier = Frontier();
-  WhatIfCostEstimator est = MakeEstimator(/*vectorized=*/true);
+  WhatIfCostEstimator est = MakeEstimator();
   std::vector<double> batch = est.EstimateMany(frontier);
   long calls_after_batch = est.optimizer_calls();
   for (size_t i = 0; i < frontier.size(); ++i) {
@@ -137,10 +140,10 @@ TEST_F(VectorizedProbeTest, ConcurrentReadersAndWritersAreSafe) {
   // frontiers: every thread must read consistent values, and the final
   // state must match a single-threaded run's estimates.
   std::vector<TenantAllocation> frontier = Frontier();
-  WhatIfCostEstimator reference = MakeEstimator(/*vectorized=*/true);
+  WhatIfCostEstimator reference = MakeEstimator();
   std::vector<double> want = reference.EstimateMany(frontier);
 
-  WhatIfCostEstimator shared = MakeEstimator(/*vectorized=*/true);
+  WhatIfCostEstimator shared = MakeEstimator();
   constexpr int kThreads = 4;
   std::vector<std::vector<double>> got(kThreads);
   {
@@ -189,10 +192,10 @@ TEST_F(VectorizedProbeTest, InvalidateTenantIsSafeUnderDisjointReaders) {
   for (const TenantAllocation& item : Frontier()) {
     if (item.tenant != 2) frontier.push_back(item);
   }
-  WhatIfCostEstimator reference = MakeEstimator(/*vectorized=*/true);
+  WhatIfCostEstimator reference = MakeEstimator();
   std::vector<double> want = reference.EstimateMany(frontier);
 
-  WhatIfCostEstimator shared = MakeEstimator(/*vectorized=*/true);
+  WhatIfCostEstimator shared = MakeEstimator();
   constexpr int kReaders = 3;
   constexpr int kRounds = 8;
   std::vector<std::vector<std::vector<double>>> got(kReaders);
