@@ -341,24 +341,27 @@ TEST(AdvisorServiceTest, InvalidEventsAreRefusedWithoutStateDamage) {
 // survive the sharded loop (dispatcher + per-machine lanes) verbatim.
 // ---------------------------------------------------------------------------
 
-ServiceOptions TwoMachineOptions(int workers) {
+/// Migration disarmed (infinite threshold), so drifts and departures run
+/// on their machine's lane.
+ServiceOptions DisarmedOptions(int workers) {
   ServiceOptions options;
   options.saturation_threshold = std::numeric_limits<double>::infinity();
   options.workers = workers;
   return options;
 }
 
-std::vector<FleetMachine> TwoMachines() {
+std::vector<FleetMachine> Machines(int count) {
   scenario::Testbed& tb = TB();
   return std::vector<FleetMachine>(
-      2, FleetMachine{tb.machine(), &tb.pg_calibration(),
-                      &tb.db2_calibration()});
+      static_cast<size_t>(count),
+      FleetMachine{tb.machine(), &tb.pg_calibration(),
+                   &tb.db2_calibration()});
 }
 
 TEST(AdvisorServiceMultiWorkerTest, NoOpDriftBitIdenticalUnderShardedLoop) {
   for (int workers : {2, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    AdvisorService service(TwoMachines(), TwoMachineOptions(workers));
+    AdvisorService service(Machines(2), DisarmedOptions(workers));
     for (int i = 0; i < 4; ++i) {
       ASSERT_TRUE(service.SubmitArrival(ServiceTenant(i)).get().ok);
     }
@@ -385,7 +388,7 @@ TEST(AdvisorServiceMultiWorkerTest, NoOpDriftBitIdenticalUnderShardedLoop) {
 TEST(AdvisorServiceMultiWorkerTest, DepartureRedistributesUnderShardedLoop) {
   for (int workers : {2, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    AdvisorService service(TwoMachines(), TwoMachineOptions(workers));
+    AdvisorService service(Machines(2), DisarmedOptions(workers));
     for (int i = 0; i < 4; ++i) {
       ASSERT_TRUE(service.SubmitArrival(ServiceTenant(i)).get().ok);
     }
@@ -422,9 +425,7 @@ TEST(AdvisorServiceMultiWorkerTest, DisarmedNoOpReconfigureCostsNoWhatIfCall) {
   // never fire.
   for (int workers : {1, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    std::vector<FleetMachine> machines = TwoMachines();
-    machines.push_back(machines.front());
-    AdvisorService service(std::move(machines), TwoMachineOptions(workers));
+    AdvisorService service(Machines(3), DisarmedOptions(workers));
     for (int i = 0; i < 9; ++i) {
       ASSERT_TRUE(service.SubmitArrival(ServiceTenant(i)).get().ok);
     }
