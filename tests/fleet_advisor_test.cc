@@ -114,29 +114,53 @@ TEST(FleetAdvisorTest, SinglePmFleetIsBitIdenticalToPlainAdvisor) {
   EXPECT_EQ(got.machines[0].recommendation.strategy, want.strategy);
 }
 
-TEST(FleetAdvisorTest, RecommendationIsIdenticalAcrossThreadCounts) {
-  static scenario::Testbed tb;
-  std::vector<Tenant> tenants = MixedTenants(tb, 6);
-  std::vector<FleetMachine> machines(3, FleetMachine{tb.machine()});
-
-  FleetOptions serial;
-  serial.threads = 1;
-  FleetRecommendation a = FleetAdvisor(machines, tenants, serial).Recommend();
-
-  FleetOptions parallel;
-  parallel.threads = 4;
-  FleetRecommendation b =
-      FleetAdvisor(machines, tenants, parallel).Recommend();
-
+// Bitwise equality of two fleet recommendations, machine by machine.
+void ExpectSameFleetRecommendation(const FleetRecommendation& a,
+                                   const FleetRecommendation& b) {
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.migrations, b.migrations);
   EXPECT_EQ(a.migration_attempts, b.migration_attempts);
   EXPECT_EQ(a.violated_qos, b.violated_qos);
-  EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
+  EXPECT_EQ(a.total_cost, b.total_cost);
   ASSERT_EQ(a.allocations.size(), b.allocations.size());
   for (size_t i = 0; i < a.allocations.size(); ++i) {
     EXPECT_EQ(a.allocations[i], b.allocations[i]) << i;
-    EXPECT_DOUBLE_EQ(a.estimated_seconds[i], b.estimated_seconds[i]) << i;
+    EXPECT_EQ(a.estimated_seconds[i], b.estimated_seconds[i]) << i;
+  }
+  ASSERT_EQ(a.machines.size(), b.machines.size());
+  for (size_t m = 0; m < a.machines.size(); ++m) {
+    const Recommendation& ra = a.machines[m].recommendation;
+    const Recommendation& rb = b.machines[m].recommendation;
+    EXPECT_EQ(a.machines[m].tenants, b.machines[m].tenants) << m;
+    EXPECT_EQ(ra.allocations, rb.allocations) << m;
+    EXPECT_EQ(ra.estimated_seconds, rb.estimated_seconds) << m;
+    EXPECT_EQ(ra.iterations, rb.iterations) << m;
+    EXPECT_EQ(ra.violated_qos, rb.violated_qos) << m;
+  }
+}
+
+TEST(FleetAdvisorTest, RecommendationIsIdenticalAcrossThreadCounts) {
+  static scenario::Testbed tb;
+  std::vector<FleetMachine> machines(3, FleetMachine{tb.machine()});
+  // Six tenants accept no migration; eight accept some, which runs the
+  // concurrent re-solves of each migration candidate's two bins.
+  for (int n : {6, 8}) {
+    SCOPED_TRACE(n);
+    std::vector<Tenant> tenants = MixedTenants(tb, n);
+    std::vector<FleetRecommendation> got;
+    for (int threads : {1, 2, 4}) {
+      FleetOptions options;
+      options.threads = threads;
+      got.push_back(FleetAdvisor(machines, tenants, options).Recommend());
+    }
+    if (n == 8) {
+      EXPECT_GT(got[0].migrations, 0);
+      EXPECT_GT(got[0].migration_attempts, got[0].migrations);
+    }
+    for (size_t k = 1; k < got.size(); ++k) {
+      SCOPED_TRACE(k);
+      ExpectSameFleetRecommendation(got[0], got[k]);
+    }
   }
 }
 
