@@ -297,8 +297,9 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemandMatrix() {
   }
   demand_columns_probed_ = static_cast<int>(probe_list.size());
 
-  // Per-PM solves run in parallel later, so keep each machine's demand
-  // estimator single-threaded and fan across machines instead.
+  // Columns fan across the fleet pool, so each machine's demand estimator
+  // gets the smallest pool of its own: one worker, joined by the calling
+  // thread, 2 threads per fan-out.
   WhatIfEstimatorOptions est_opts = options_.advisor.estimator;
   est_opts.batch_threads = 1;
   auto probe_machine = [&](size_t pi) {
@@ -355,9 +356,11 @@ FleetAdvisor::BinState FleetAdvisor::SolveBin(
 
   AdvisorOptions adv_opts = options_.advisor;
   if (num_machines() > 1) {
-    // Bin solves already fan across the fleet pool; nested per-estimator
-    // pools would oversubscribe cores without changing any value (the
-    // estimator contract makes results thread-count invariant).
+    // Bin solves already fan across the fleet pool, so each bin's
+    // estimator gets the smallest pool of its own: one worker, joined by
+    // the calling thread, 2 threads per fan-out (two concurrent migration
+    // re-solves thus fill 4 hardware threads). The estimator contract
+    // makes results thread-count invariant, so this changes no value.
     adv_opts.estimator.batch_threads = 1;
   }
   VirtualizationDesignAdvisor adv(fm.hardware, std::move(bound), adv_opts);
@@ -489,9 +492,17 @@ FleetRecommendation FleetAdvisor::Recommend() {
         dst_ids.insert(
             std::upper_bound(dst_ids.begin(), dst_ids.end(), mover), mover);
 
-        // Cold re-solve of both bins.
-        BinState new_src = SolveBin(src, std::move(src_ids));
-        BinState new_dst = SolveBin(dst, std::move(dst_ids));
+        // Cold re-solve of both bins, side by side on the fleet pool. Each
+        // SolveBin is const and fans out on its own estimator's pool, so
+        // the pair gives the same bins as solving one after the other.
+        BinState new_src, new_dst;
+        pool_->ParallelFor(2, [&](size_t k) {
+          if (k == 0) {
+            new_src = SolveBin(src, std::move(src_ids));
+          } else {
+            new_dst = SolveBin(dst, std::move(dst_ids));
+          }
+        });
         if (AcceptMove(old_pair_cost, old_violations,
                        new_src.cost + new_dst.cost,
                        violations(new_src, new_dst))) {
