@@ -240,8 +240,9 @@ void RecordWhatIfProbeThroughput() {
   for (const auto& r : grid) frontier.push_back({0, r});
 
   // Each arm builds a fresh estimator (all probes miss) and runs the whole
-  // frontier once; batch_threads=1 keeps the comparison about the kernel,
-  // not the pool.
+  // frontier once. batch_threads=1 is the smallest pool, one worker joined
+  // by the calling thread, so the EstimateMany arms still fan out on 2
+  // threads while the scalar loop runs on 1.
   auto time_arm = [&](bool vectorized, bool arena,
                       std::vector<double>* out) {
     advisor::WhatIfEstimatorOptions opts;

@@ -204,8 +204,9 @@ WorkerArm RunWorkerArm(const std::vector<advisor::FleetMachine>& fleet,
   WorkerArm arm;
   service::ServiceOptions options;
   options.advisor = SolveOptions();
-  // Apples-to-apples across worker counts: one estimator thread per
-  // repair everywhere (the sharded service pins this itself at
+  // Apples-to-apples across worker counts: the same estimator pool per
+  // repair everywhere (batch_threads = 1, one worker joined by the
+  // repairing thread; the sharded service sets this itself at
   // workers > 1), so the arms differ ONLY in lane concurrency.
   options.advisor.estimator.batch_threads = 1;
   options.saturation_threshold = std::numeric_limits<double>::infinity();

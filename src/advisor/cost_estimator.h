@@ -110,8 +110,10 @@ struct WhatIfObservation {
 
 /// WhatIfCostEstimator knobs.
 struct WhatIfEstimatorOptions {
-  /// Worker threads for EstimateBatch; 0 picks a small hardware-derived
-  /// default. Results are identical for every thread count.
+  /// Pool size for the EstimateBatch / EstimateMany fan-out: n workers,
+  /// joined by the calling thread, so a fan-out runs on n + 1 threads; 0
+  /// picks a small hardware-derived default. Results are identical for
+  /// every thread count.
   int batch_threads = 0;
   /// Allocate grid candidate plans from pooled arena slabs (see
   /// GridOptions::pooled_nodes).

@@ -98,7 +98,8 @@ AdvisorService::AdvisorService(std::vector<advisor::FleetMachine> machines,
     return;
   }
   // Sharded loop: the parallelism budget goes to concurrent LANES, so
-  // each resident estimator's own fan-out is pinned to one thread
+  // each resident estimator gets the smallest pool of its own: one
+  // worker, joined by the repairing thread, 2 threads per fan-out
   // (estimates are thread-count invariant — the FleetAdvisor rule — so
   // this changes nothing but scheduling).
   options_.advisor.estimator.batch_threads = 1;

@@ -87,9 +87,10 @@ struct ServiceOptions {
   /// every event handled in exact submission order on one thread. > 1
   /// shards the loop: a dispatcher routes events to per-machine serial
   /// lanes and `workers` threads repair disjoint machines concurrently
-  /// (per-machine estimator fan-out is pinned to 1 thread to avoid
-  /// oversubscription; estimates are thread-count invariant, so results
-  /// do not change). A workers=1 run is bit-identical to the serial
+  /// (each per-machine estimator runs with batch_threads = 1, one pool
+  /// worker joined by the repairing thread, so a repair's fan-out runs on
+  /// 2 threads; estimates are thread-count invariant, so results do not
+  /// change). A workers=1 run is bit-identical to the serial
   /// service on any schedule, by construction.
   int workers = 1;
   /// Collapse a pending run of drift events for ONE tenant into a single
