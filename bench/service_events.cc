@@ -195,7 +195,9 @@ struct WorkerArm {
 /// submitted without waiting (so lanes genuinely backlog), then 8
 /// departures. `duplicate_storm` switches the burst to the coalescing
 /// schedule: each of 32 tenants re-reports ONE new workload 6 times
-/// behind a Reconfigure plug (so runs are fully enqueued before their
+/// behind a Reconfigure plug (the storm queues up while the plug runs,
+/// and the dispatcher then routes it into the lanes while the first
+/// repairs run, so later runs sit complete in their lane when their
 /// head pops).
 WorkerArm RunWorkerArm(const std::vector<advisor::FleetMachine>& fleet,
                        const std::vector<advisor::Tenant>& tenants,
@@ -435,7 +437,8 @@ int main() {
   // --- Multi-worker sharded loop: throughput scaling + bit-identity -------
   // Fresh service per worker count, identical event schedule; the final
   // fleet state must be a pure function of the schedule, so every arm's
-  // snapshot must be bitwise equal to the workers=1 (serial-path) arm's.
+  // snapshot must be bitwise equal to the workers=1 arm's (one lane
+  // worker, events handled in exact submission order).
   const std::vector<advisor::Tenant> arm_tenants = MakeFleetTenants(tb, kTenants);
   std::printf("\nsharded event loop, burst of 192 drifts over %dx%d:\n",
               kMachines, kTenants);
@@ -483,7 +486,7 @@ int main() {
   // 32 tenants each re-report one new workload 6 times behind a
   // Reconfigure plug. Coalescing must cut repairs (coalesced_drifts > 0,
   // i.e. repair count < event count) yet land on the exact state the
-  // uncoalesced serial replay lands on.
+  // uncoalesced workers=1 replay lands on.
   WorkerArm replay = RunWorkerArm(fleet, arm_tenants, tb, /*workers=*/1,
                                   /*coalesce=*/false, /*duplicate_storm=*/true);
   WorkerArm co1 = RunWorkerArm(fleet, arm_tenants, tb, /*workers=*/1,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -84,7 +85,8 @@ std::vector<int> AdvisorService::MachineState::OccupiedSlots() const {
 
 AdvisorService::AdvisorService(std::vector<advisor::FleetMachine> machines,
                                ServiceOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      lanes_(static_cast<int>(machines.size())) {
   VDBA_CHECK(!machines.empty());
   VDBA_CHECK_GT(options_.placement.headroom, 0.0);
   options_.workers = std::max(1, options_.workers);
@@ -93,20 +95,17 @@ AdvisorService::AdvisorService(std::vector<advisor::FleetMachine> machines,
     VDBA_CHECK(machines[m].hardware.resources != nullptr);
     machines_[m].machine = machines[m];
   }
-  if (options_.workers == 1) {
-    worker_ = std::thread(&AdvisorService::WorkerLoop, this);
-    return;
+  if (options_.workers > 1) {
+    // The parallelism budget goes to concurrent LANES, so each resident
+    // estimator gets the smallest pool of its own: one worker, joined by
+    // the repairing thread, 2 threads per fan-out (estimates are
+    // thread-count invariant — the FleetAdvisor rule — so this changes
+    // nothing but scheduling).
+    options_.advisor.estimator.batch_threads = 1;
   }
-  // Sharded loop: the parallelism budget goes to concurrent LANES, so
-  // each resident estimator gets the smallest pool of its own: one
-  // worker, joined by the repairing thread, 2 threads per fan-out
-  // (estimates are thread-count invariant — the FleetAdvisor rule — so
-  // this changes nothing but scheduling).
-  options_.advisor.estimator.batch_threads = 1;
-  lanes_ = std::make_unique<ShardedQueue<Event>>(num_machines());
   lane_workers_.reserve(static_cast<size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w) {
-    lane_workers_.emplace_back(&AdvisorService::LaneWorkerLoop, this);
+    lane_workers_.emplace_back(&AdvisorService::LaneLoop, this);
   }
   dispatcher_ = std::thread(&AdvisorService::DispatchLoop, this);
 }
@@ -116,15 +115,11 @@ AdvisorService::~AdvisorService() { Stop(); }
 void AdvisorService::Stop() {
   std::call_once(stop_once_, [this] {
     queue_.Close();
-    // Serial: the worker drains the queue and exits. Sharded: the
-    // dispatcher drains the queue into the lanes, closes them, and
-    // exits; the lane workers then drain the lanes and exit. Either
-    // way every accepted event is handled before the join returns.
-    if (dispatcher_.joinable()) dispatcher_.join();
-    for (std::thread& w : lane_workers_) {
-      if (w.joinable()) w.join();
-    }
-    if (worker_.joinable()) worker_.join();
+    // The dispatcher drains the queue into the lanes, closes them, and
+    // exits; the lane workers then drain the lanes and exit, so every
+    // accepted event is handled before the joins return.
+    dispatcher_.join();
+    for (std::thread& w : lane_workers_) w.join();
   });
 }
 
@@ -178,25 +173,19 @@ void AdvisorService::Complete(Event& event, EventOutcome outcome) {
   event.done.set_value(std::move(outcome));
 }
 
-void AdvisorService::WorkerLoop() {
-  while (std::optional<Event> event = queue_.WaitPop()) {
-    Process(std::move(*event),
-            [this](const EventMatch& match) { return queue_.PopIf(match); });
-  }
-}
-
-void AdvisorService::Process(Event event, const PopMatching& pop_more) {
+void AdvisorService::Process(Event event, int lane) {
   if (event.kind != EventKind::kDrift) {
     Complete(event, Handle(event));
     return;
   }
   std::vector<Event> batch;
   batch.push_back(std::move(event));
-  if (options_.coalesce_drift && pop_more) {
+  if (options_.coalesce_drift && lane >= 0) {
     const int id = batch.front().tenant_id;
-    while (std::optional<Event> more = pop_more([id](const Event& e) {
-             return e.kind == EventKind::kDrift && e.tenant_id == id;
-           })) {
+    while (std::optional<Event> more =
+               lanes_.PopMoreIf(lane, [id](const Event& e) {
+                 return e.kind == EventKind::kDrift && e.tenant_id == id;
+               })) {
       batch.push_back(std::move(*more));
     }
   }
@@ -220,8 +209,8 @@ int AdvisorService::RouteLane(const Event& event) const {
       // A machine-local repair — unless it may trigger migration, which
       // reads and writes OTHER machines and so needs the fleet to
       // itself. Migration being armed is a property of the options, so
-      // the sharded loop keeps full lane concurrency exactly when
-      // repairs are provably machine-local.
+      // the loop keeps full lane concurrency exactly when repairs are
+      // provably machine-local.
       if (MigrationArmed()) return -1;
       const int id = event.tenant_id;
       std::lock_guard lock(state_mu_);
@@ -245,25 +234,22 @@ void AdvisorService::DispatchLoop() {
     const int lane = RouteLane(*event);
     if (lane >= 0) {
       // Cannot fail: the lanes close only after this loop exits.
-      lanes_->Push(lane, std::move(*event));
+      lanes_.Push(lane, std::move(*event));
       continue;
     }
     // Global epoch: drain every in-flight lane repair, then handle the
     // cross-machine event inline with exclusive ownership of the fleet.
-    lanes_->WaitIdle();
-    Process(std::move(*event), nullptr);
+    lanes_.WaitIdle();
+    Process(std::move(*event), -1);
   }
-  lanes_->Close();
+  lanes_.Close();
 }
 
-void AdvisorService::LaneWorkerLoop() {
+void AdvisorService::LaneLoop() {
   while (std::optional<ShardedQueue<Event>::Popped> popped =
-             lanes_->PopLane()) {
-    const int lane = popped->lane;
-    Process(std::move(popped->item), [&](const EventMatch& match) {
-      return lanes_->PopMoreIf(lane, match);
-    });
-    lanes_->Release(lane);
+             lanes_.PopLane()) {
+    Process(std::move(popped->item), popped->lane);
+    lanes_.Release(popped->lane);
   }
 }
 

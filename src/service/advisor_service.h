@@ -9,7 +9,7 @@
 // from-scratch fleet solve. AdvisorService owns the fleet state as a
 // resident object: per-machine WhatIfCostEstimators stay alive across
 // events (their what-if caches stay warm), a thread-safe MPSC EventQueue
-// feeds the repair worker(s), and every event is handled by warm-starting
+// feeds the repair workers, and every event is handled by warm-starting
 // the configured SearchStrategy from the incumbent allocation with
 // finest-step-only move schedules, after a *targeted* invalidation of
 // only the affected tenant's cache entries
@@ -18,15 +18,15 @@
 // cross-machine migration repair runs only when an event pushes a
 // machine's gain-weighted saturation over a threshold.
 //
-// Concurrency model (docs/service.md "Concurrency model"): with
-// ServiceOptions::workers == 1 (the default) a single worker drains the
-// queue in exact submission order — the PR-8 serial service, unchanged.
-// With workers > 1 a dispatcher thread routes each event to its target
-// machine's serial LANE in a ShardedQueue and a pool of repair workers
-// leases lanes oldest-head-first: per-machine FIFO order is preserved
-// while events for disjoint machines repair concurrently (warm repair
-// only ever mutates one machine's state, so lanes share nothing but the
-// commit mutex). Cross-machine operations — admission placement,
+// Concurrency model (docs/service.md "Concurrency model"): a dispatcher
+// thread routes each event to its target machine's serial LANE in a
+// ShardedQueue and ServiceOptions::workers repair workers lease lanes
+// oldest-head-first: per-machine FIFO order is preserved while events
+// for disjoint machines repair concurrently (warm repair only ever
+// mutates one machine's state, so lanes share nothing but the commit
+// mutex). With workers == 1 (the default) the one lane worker always
+// takes the oldest lane head, so events are handled in exact submission
+// order. Cross-machine operations — admission placement,
 // Reconfigure, and any event while migration is armed — take a short
 // GLOBAL EPOCH: the dispatcher drains every lane to idle, then handles
 // the event inline with the fleet to itself. Optional drift coalescing
@@ -44,11 +44,9 @@
 #ifndef VDBA_SERVICE_ADVISOR_SERVICE_H_
 #define VDBA_SERVICE_ADVISOR_SERVICE_H_
 
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,25 +81,26 @@ struct ServiceOptions {
   int max_migrations = 1;
   /// Tenants offered per migration attempt (worst-relief first).
   int migration_candidates = 2;
-  /// Repair worker threads. 1 (default) runs the serial event loop —
-  /// every event handled in exact submission order on one thread. > 1
-  /// shards the loop: a dispatcher routes events to per-machine serial
-  /// lanes and `workers` threads repair disjoint machines concurrently
-  /// (each per-machine estimator runs with batch_threads = 1, one pool
-  /// worker joined by the repairing thread, so a repair's fan-out runs on
-  /// 2 threads; estimates are thread-count invariant, so results do not
-  /// change). A workers=1 run is bit-identical to the serial
-  /// service on any schedule, by construction.
+  /// Lane workers: a dispatcher routes events to per-machine serial
+  /// lanes and `workers` threads repair disjoint machines concurrently.
+  /// 1 (default) is one lane worker plus the dispatcher, which handles
+  /// every event in exact submission order. At > 1 each per-machine
+  /// estimator runs with batch_threads = 1, one pool worker joined by the
+  /// repairing thread, so a repair's fan-out runs on 2 threads; estimates
+  /// are thread-count invariant, so results do not change.
   int workers = 1;
-  /// Collapse a pending run of drift events for ONE tenant into a single
-  /// repair priced at the latest workload (per-machine FIFO order is
-  /// never violated; absorbed events resolve with the shared outcome and
-  /// are counted in FleetSnapshot::coalesced_drifts). Exactly
-  /// state-identical to the uncoalesced replay when the run re-reports
-  /// an unchanged workload (the skipped intermediate repairs are no-op
-  /// keeps); for genuinely different intermediate workloads the final
-  /// state is a warm repair of the same final workload seeded from the
-  /// pre-run incumbent instead of the per-step one.
+  /// Collapse a run of drift events for ONE tenant, consecutive in its
+  /// machine's lane, into a single repair priced at the latest workload
+  /// (at any worker count; per-machine FIFO order is never violated;
+  /// absorbed events resolve with the shared outcome and are counted in
+  /// FleetSnapshot::coalesced_drifts). Only drifts the dispatcher has
+  /// already routed into the lane can be absorbed, so where runs split
+  /// depends on timing. Exactly state-identical to the uncoalesced
+  /// replay when the run re-reports an unchanged workload (the skipped
+  /// intermediate repairs are no-op keeps); for genuinely different
+  /// intermediate workloads the final state is a warm repair of the same
+  /// final workload seeded from the pre-run incumbent instead of the
+  /// per-step one.
   bool coalesce_drift = false;
 };
 
@@ -147,17 +146,18 @@ struct FleetSnapshot {
   long coalesced_drifts = 0;
 };
 
-/// \brief The resident advisor: a pool of repair workers incrementally
-/// repairing a live fleet as tenant events stream in.
+/// \brief The resident advisor: a dispatcher and a pool of lane workers
+/// incrementally repairing a live fleet as tenant events stream in.
 ///
 /// Thread safety: every public method is safe from any thread. Submit*
 /// enqueue and return immediately; the returned future resolves when a
 /// worker has committed (or refused) the event. Events for one machine
 /// are handled strictly in submission (FIFO) order; with workers == 1
-/// (default) so is the whole stream. Stop() — also run by the
-/// destructor — closes the queue and DRAINS it: every event accepted
-/// before Stop() is still handled, then the workers exit; Submit* after
-/// Stop() resolve immediately with ok = false.
+/// (default, one lane worker plus the dispatcher) so is the whole
+/// stream. Stop() — also run by the destructor — closes the queue and
+/// DRAINS it: every event accepted before Stop() is still handled, then
+/// the threads exit; Submit* after Stop() resolve immediately with
+/// ok = false.
 class AdvisorService {
  public:
   /// \param machines At least one machine; calibration binding follows
@@ -196,7 +196,8 @@ class AdvisorService {
   std::future<EventOutcome> SubmitReconfigure();
 
   /// Closes the queue (further Submit* are refused), drains every
-  /// already-accepted event, and joins the worker threads. Idempotent.
+  /// already-accepted event, and joins the dispatcher and lane workers.
+  /// Idempotent.
   void Stop();
 
   /// Copy of the fleet state as of the last committed event.
@@ -208,7 +209,7 @@ class AdvisorService {
   /// Machine m's resident estimator (null while the machine has never
   /// hosted a tenant). Counters/observations are for tests and benches;
   /// only read this while no event is in flight (estimator mutation
-  /// happens on the worker thread).
+  /// happens on the repair threads).
   const advisor::WhatIfCostEstimator* machine_estimator(int m) const {
     return machines_[static_cast<size_t>(m)].estimator.get();
   }
@@ -262,34 +263,22 @@ class AdvisorService {
     advisor::Tenant original;
   };
 
-  /// Which queued event a loop may take next, and the loop's way of
-  /// popping it: EventQueue::PopIf serially, ShardedQueue::PopMoreIf on a
-  /// leased lane.
-  using EventMatch = std::function<bool(const Event&)>;
-  using PopMatching = std::function<std::optional<Event>(const EventMatch&)>;
-
   std::future<EventOutcome> Enqueue(Event event);
-  /// The workers == 1 event loop: pops the MPSC queue in submission
-  /// order and handles every event on this one thread (the PR-8 serial
-  /// service).
-  void WorkerLoop();
   /// Handles one popped event. A drift first absorbs (with
-  /// coalesce_drift) the run of same-tenant drifts `pop_more` yields and
-  /// is repaired once through HandleDriftRun; any other event goes
-  /// through Handle. Null `pop_more` absorbs nothing (a global epoch).
-  void Process(Event event, const PopMatching& pop_more);
-  /// The workers > 1 front half: classifies each event under state_mu_
-  /// and either pushes it onto its target machine's lane or — for
-  /// cross-machine events — drains every lane (global epoch) and handles
-  /// it inline.
+  /// coalesce_drift) the run of same-tenant drifts next in its leased
+  /// `lane` and is repaired once through HandleDriftRun; any other event
+  /// goes through Handle. `lane` -1 (a global epoch) absorbs nothing.
+  void Process(Event event, int lane);
+  /// The front half: classifies each event under state_mu_ and either
+  /// pushes it onto its target machine's lane or — for cross-machine
+  /// events — drains every lane (global epoch) and handles it inline.
   void DispatchLoop();
-  /// The workers > 1 back half: leases one lane at a time
-  /// (oldest-head-first) and handles its events; disjoint lanes run on
-  /// distinct workers concurrently.
-  void LaneWorkerLoop();
-  /// Lane for `event` under the sharded loop, or -1 when it must run as
-  /// a global epoch (arrival, reconfigure, or any event while migration
-  /// is armed).
+  /// The back half: leases one lane at a time (oldest-head-first) and
+  /// handles its events; disjoint lanes run on distinct workers
+  /// concurrently.
+  void LaneLoop();
+  /// Lane for `event`, or -1 when it must run as a global epoch
+  /// (arrival, reconfigure, or any event while migration is armed).
   int RouteLane(const Event& event) const;
   /// True when events may trigger cross-machine migration — which forces
   /// every event through the global-epoch path.
@@ -303,8 +292,8 @@ class AdvisorService {
   /// Handles a run of drift events for ONE tenant (all `batch` entries
   /// share tenant_id): applies the LATEST workload, repairs the machine
   /// once, and completes every event with the shared outcome. A batch of
-  /// one is exactly the serial drift handler; larger batches only form
-  /// when coalesce_drift is on.
+  /// one is a single drift's repair; larger batches only form when
+  /// coalesce_drift is on.
   void HandleDriftRun(std::vector<Event>& batch);
   EventOutcome HandleReconfigure();
 
@@ -348,9 +337,8 @@ class AdvisorService {
   /// (<= options_.max_migrations); 0 without probing when disarmed.
   int MaybeMigrate(int m);
 
-  /// Gain-weighted fleet objective. Takes state_mu_ — under the sharded
-  /// loop a lane handler races other lanes' repair commits, which publish
-  /// under that mutex.
+  /// Gain-weighted fleet objective. Takes state_mu_ — a lane handler
+  /// races other lanes' repair commits, which publish under that mutex.
   double FleetObjective() const;
   /// Variants for callers already holding state_mu_ (Snapshot()).
   double FleetObjectiveLocked() const;
@@ -362,10 +350,9 @@ class AdvisorService {
   std::vector<TenantState> tenants_;
 
   EventQueue<Event> queue_;
-  /// Per-machine serial lanes (sharded loop only; null at workers == 1).
-  std::unique_ptr<ShardedQueue<Event>> lanes_;
-  std::thread worker_;      // workers == 1
-  std::thread dispatcher_;  // workers > 1
+  /// Per-machine serial lanes, one per machine.
+  ShardedQueue<Event> lanes_;
+  std::thread dispatcher_;
   std::vector<std::thread> lane_workers_;
   /// Guards machines_/tenants_/events_handled_/coalesced_drifts_ between
   /// the workers' commit points and Snapshot()/RouteLane(). A handler

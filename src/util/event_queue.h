@@ -12,7 +12,6 @@
 #define VDBA_UTIL_EVENT_QUEUE_H_
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -40,15 +39,6 @@ class EventQueue {
     ready_.notify_one();
     return true;
   }
-  bool Push(const T& event) {
-    {
-      std::lock_guard lock(mu_);
-      if (closed_) return false;
-      items_.push_back(event);
-    }
-    ready_.notify_one();
-    return true;
-  }
 
   /// Blocks until an event is available or the queue is closed AND
   /// drained. \returns the oldest event in arrival order, or nullopt once
@@ -57,19 +47,6 @@ class EventQueue {
     std::unique_lock lock(mu_);
     ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
     if (items_.empty()) return std::nullopt;
-    T event = std::move(items_.front());
-    items_.pop_front();
-    return event;
-  }
-
-  /// Non-blocking conditional pop: takes the oldest event iff `pred(event)`
-  /// holds, nullopt otherwise (empty queue included). The consumer-side
-  /// coalescing hook — a consumer that just popped an event can keep
-  /// absorbing equivalent successors without ever blocking or reordering.
-  template <typename Pred>
-  std::optional<T> PopIf(Pred pred) {
-    std::lock_guard lock(mu_);
-    if (items_.empty() || !pred(items_.front())) return std::nullopt;
     T event = std::move(items_.front());
     items_.pop_front();
     return event;
@@ -85,19 +62,8 @@ class EventQueue {
     ready_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard lock(mu_);
-    return closed_;
-  }
-
-  /// Events currently queued (a snapshot; racy by nature under MPSC).
-  size_t size() const {
-    std::lock_guard lock(mu_);
-    return items_.size();
-  }
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable ready_;
   std::deque<T> items_;
   bool closed_ = false;

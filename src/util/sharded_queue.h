@@ -1,5 +1,5 @@
-// A sharded serial-lane queue: the dispatch fabric of the multi-worker
-// AdvisorService (src/service/).
+// A sharded serial-lane queue: the dispatch fabric of the AdvisorService
+// event loop (src/service/), at every worker count.
 //
 // One producer (the service's dispatcher) routes items into N lanes; a
 // pool of consumer threads drains them under a per-lane LEASE discipline:
@@ -8,7 +8,8 @@
 // strict serial FIFO (two consumers can never process the same lane
 // concurrently) while distinct lanes drain in parallel. With a single
 // consumer, "oldest head first" degenerates to exact global FIFO — the
-// property the service's workers=1 serial-equivalence guarantee leans on.
+// property that makes the service's workers = 1 loop handle events in
+// exact submission order.
 //
 // PopMoreIf() lets the lease holder conditionally take further items off
 // the front of ITS lane (event coalescing); WaitIdle() is the epoch
@@ -137,11 +138,6 @@ class ShardedQueue {
     cv_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard lock(mu_);
-    return closed_;
-  }
-
   /// Items currently queued across all lanes (snapshot; racy by nature).
   size_t size() const {
     std::lock_guard lock(mu_);
@@ -149,8 +145,6 @@ class ShardedQueue {
     for (const Lane& l : lanes_) n += l.items.size();
     return n;
   }
-
-  int num_lanes() const { return static_cast<int>(lanes_.size()); }
 
  private:
   struct Lane {

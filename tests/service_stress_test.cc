@@ -1,6 +1,6 @@
-// Deterministic concurrency stress harness for the sharded AdvisorService
-// event loop (ServiceOptions::workers > 1) — the `test`-archetype
-// companion of the lane/dispatcher design in src/service/:
+// Deterministic concurrency stress harness for the AdvisorService event
+// loop — the dispatcher plus per-machine lanes in src/service/, which
+// runs at every worker count:
 //
 //   * ShardedQueue invariants: per-lane FIFO under the lease discipline,
 //     oldest-head-first == exact global FIFO with one consumer, WaitIdle
@@ -8,8 +8,10 @@
 //   * Serial-replay equivalence: seeded randomized schedules (bursty
 //     arrivals / departures / drift across machines, submitted without
 //     waiting so lanes genuinely backlog) produce a final fleet state
-//     BIT-IDENTICAL at workers=4 to the workers=1 serial replay of the
-//     same schedule.
+//     BIT-IDENTICAL at workers 1, 2 and 4 to a closed-loop replay of the
+//     same schedule (each event awaited before the next is submitted,
+//     so only one is ever in flight); at workers=1 every per-event
+//     outcome matches the replay's too.
 //   * Linearizability of per-tenant histories under adversarial
 //     interleavings: producers race through std::barrier-controlled
 //     rounds (every producer fires its burst at the same instant — a
@@ -21,13 +23,14 @@
 //     snapshot.
 //   * Coalescing commutes with replay: a duplicate-storm schedule run
 //     with coalesce_drift on (workers 1 and 4) lands bit-identical to
-//     the uncoalesced serial replay, with fewer repairs than events.
+//     the uncoalesced workers=1 replay, with fewer repairs than events.
 //
 // Everything is seeded (vdba::Rng) and assertion-deterministic; the
 // nightly TSan job runs this file (see .github/workflows/nightly.yml),
 // and CMake caps it at 120 s so a wedged schedule fails fast.
 #include <atomic>
 #include <barrier>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -273,12 +276,20 @@ std::vector<Op> MakeSchedule(uint64_t seed, int initial, int ops) {
   return schedule;
 }
 
-/// Runs `schedule` against a fresh service at `workers`, submitting the
-/// burst WITHOUT waiting (so lanes genuinely backlog), and returns the
-/// final snapshot after every future resolved.
-FleetSnapshot RunSchedule(const std::vector<Op>& schedule, int initial,
-                          int workers, bool coalesce = false) {
-  AdvisorService service(Fleet(3), StressOptions(workers, coalesce));
+/// Every op's outcome, in schedule order, and the final snapshot.
+struct ScheduleRun {
+  std::vector<EventOutcome> outcomes;
+  FleetSnapshot snap;
+};
+
+/// Runs `schedule` against a fresh service at `workers` and returns the
+/// outcomes and the final snapshot after every future resolved. Open
+/// loop submits the burst WITHOUT waiting (so lanes genuinely backlog);
+/// closed loop awaits each event before submitting the next, so the run
+/// is serial whatever the event loop does.
+ScheduleRun RunSchedule(const std::vector<Op>& schedule, int initial,
+                        int workers, bool closed_loop = false) {
+  AdvisorService service(Fleet(3), StressOptions(workers));
   // Seed tenants synchronously: ids 0..initial-1, deterministic layout.
   for (int i = 0; i < initial; ++i) {
     EventOutcome out = service.SubmitArrival(StressTenant(i)).get();
@@ -292,45 +303,75 @@ FleetSnapshot RunSchedule(const std::vector<Op>& schedule, int initial,
   int next_id = initial;
   std::vector<std::future<EventOutcome>> futures;
   futures.reserve(schedule.size());
+  auto submit = [&](std::future<EventOutcome> future) {
+    futures.push_back(std::move(future));
+    if (closed_loop) futures.back().wait();
+  };
   for (const Op& op : schedule) {
     switch (op.kind) {
       case Op::kArrive:
-        futures.push_back(service.SubmitArrival(StressTenant(op.tenant)));
+        submit(service.SubmitArrival(StressTenant(op.tenant)));
         active.push_back(next_id++);
         break;
       case Op::kDepart: {
         const int id = active[static_cast<size_t>(op.tenant)];
-        futures.push_back(service.SubmitDeparture(id));
+        submit(service.SubmitDeparture(id));
         active.erase(active.begin() + op.tenant);
         break;
       }
       case Op::kDrift: {
         const int id = active[static_cast<size_t>(op.tenant)];
-        futures.push_back(
-            service.SubmitDrift(id, StressWorkload(id, op.variant)));
+        submit(service.SubmitDrift(id, StressWorkload(id, op.variant)));
         break;
       }
     }
   }
+  ScheduleRun run;
   for (std::future<EventOutcome>& f : futures) {
-    EventOutcome out = f.get();
-    EXPECT_TRUE(out.ok) << out.error;
+    run.outcomes.push_back(f.get());
+    EXPECT_TRUE(run.outcomes.back().ok) << run.outcomes.back().error;
   }
   service.Stop();
-  return service.Snapshot();
+  run.snap = service.Snapshot();
+  return run;
+}
+
+/// Per-event outcomes equal, the objective bit for bit.
+void ExpectOutcomesBitIdentical(const std::vector<EventOutcome>& got,
+                                const std::vector<EventOutcome>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].ok, want[i].ok) << "event " << i;
+    EXPECT_EQ(got[i].tenant, want[i].tenant) << "event " << i;
+    EXPECT_EQ(got[i].machine, want[i].machine) << "event " << i;
+    EXPECT_EQ(got[i].migrations, want[i].migrations) << "event " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].objective),
+              std::bit_cast<uint64_t>(want[i].objective))
+        << "event " << i;
+  }
 }
 
 TEST(ServiceStressTest, ShardedFinalStateBitIdenticalToSerialReplay) {
   // The tentpole invariant: per-machine FIFO + epoch-drained
   // cross-machine events make the final fleet state a pure function of
-  // the schedule, independent of worker count.
+  // the schedule, independent of worker count. The reference is a
+  // closed-loop replay — serial by construction, whatever the loop. At
+  // workers=1 the lone lane worker handles events in exact submission
+  // order, so every per-event outcome must match the replay as well.
   for (uint64_t seed : {7ULL, 21ULL, 1031ULL}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const std::vector<Op> schedule = MakeSchedule(seed, /*initial=*/6,
                                                   /*ops=*/28);
-    const FleetSnapshot serial = RunSchedule(schedule, 6, /*workers=*/1);
-    const FleetSnapshot sharded = RunSchedule(schedule, 6, /*workers=*/4);
-    ExpectStateBitIdentical(sharded, serial);
+    const ScheduleRun serial = RunSchedule(schedule, 6, /*workers=*/1,
+                                           /*closed_loop=*/true);
+    for (int workers : {1, 2, 4}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      const ScheduleRun open = RunSchedule(schedule, 6, workers);
+      ExpectStateBitIdentical(open.snap, serial.snap);
+      if (workers == 1) {
+        ExpectOutcomesBitIdentical(open.outcomes, serial.outcomes);
+      }
+    }
   }
 }
 
@@ -477,8 +518,8 @@ TEST(ServiceStressTest, CoalescingCommutesWithUncoalescedReplay) {
       EventOutcome out = service.SubmitArrival(StressTenant(i)).get();
       VDBA_CHECK(out.ok);
     }
-    // Plug the loop with a Reconfigure so the whole storm is enqueued
-    // before the first drift is popped — guaranteeing runs to coalesce.
+    // Plug the loop with a Reconfigure: while the dispatcher handles it
+    // as a global epoch, the whole storm queues up behind it.
     std::vector<std::future<EventOutcome>> futures;
     futures.push_back(service.SubmitReconfigure());
     for (int i = 0; i < kTenants; ++i) {
@@ -499,8 +540,10 @@ TEST(ServiceStressTest, CoalescingCommutesWithUncoalescedReplay) {
 
   const FleetSnapshot serial_coalesced = run(1, true);
   ExpectStateBitIdentical(serial_coalesced, replay);
-  // The plug makes serial coalescing deterministic: each tenant's run is
-  // fully enqueued when its head pops, so repairs < events strictly.
+  // Behind the plug the dispatcher routes the whole storm into the lanes
+  // while the lane worker repairs the first tenant, so later tenants'
+  // runs sit complete in their lanes when their heads pop: repairs <
+  // events strictly.
   EXPECT_GT(serial_coalesced.coalesced_drifts, 0);
 
   const FleetSnapshot sharded_coalesced = run(4, true);
