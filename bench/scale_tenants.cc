@@ -22,10 +22,11 @@
 // and a single-machine fleet must reproduce the plain advisor's
 // recommendation bit-for-bit.
 //
-// Arm 3 times FleetAdvisor's demand-matrix probing with and without
-// machine-class sharing (machines with identical hardware + calibrations
-// share one what-if probe column): the matrices must be bit-identical and
-// the wall-clock speedup tracks distinct-classes / machines.
+// Arm 3 times FleetAdvisor's class-shared demand-matrix probing
+// (machines with identical hardware + calibrations share one what-if
+// probe column) against probing every machine on its own, written here
+// from public estimator calls: the matrices must be bit-identical and the
+// wall-clock speedup tracks distinct-classes / machines.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -33,9 +34,11 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "advisor/advisor.h"
+#include "advisor/cost_estimator.h"
 #include "advisor/fleet_advisor.h"
 #include "advisor/greedy_enumerator.h"
 #include "bench_common.h"
@@ -366,23 +369,52 @@ int main() {
     const int p = 8;
     std::vector<advisor::FleetMachine> fleet = MakeFleet(classes, p);
     std::vector<advisor::Tenant> tenants = MakeFleetTenants(fleet_tb, 16);
-    auto time_probe = [&](bool share, std::vector<std::vector<double>>* out,
-                          int* columns) {
-      advisor::FleetOptions fopts;
-      fopts.share_demand_probes = share;
-      advisor::FleetAdvisor adv(fleet, tenants, fopts);
-      auto start = std::chrono::steady_clock::now();
-      *out = adv.ProbeDemandMatrix();
-      double seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      *columns = adv.demand_columns_probed();
-      return seconds;
+    const size_t t = tenants.size();
+    auto elapsed = [](std::chrono::steady_clock::time_point start) {
+      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           start)
+          .count();
     };
-    std::vector<std::vector<double>> unshared_demand, shared_demand;
-    int unshared_cols = 0, shared_cols = 0;
-    double unshared_s = time_probe(false, &unshared_demand, &unshared_cols);
-    double shared_s = time_probe(true, &shared_demand, &shared_cols);
+    // Unshared arm: the work FleetAdvisor would do without the class memo
+    // — one estimator per machine over its bound tenants, one EstimateMany
+    // of full-machine probes per column, columns fanned over a pool of the
+    // fleet's default size.
+    std::vector<std::vector<double>> unshared_demand(
+        t, std::vector<double>(static_cast<size_t>(p)));
+    double unshared_s = 0.0;
+    {
+      const auto start = std::chrono::steady_clock::now();
+      ThreadPool pool(advisor::FleetOptions().threads);
+      pool.ParallelFor(static_cast<size_t>(p), [&](size_t m) {
+        const advisor::FleetMachine& machine = fleet[m];
+        std::vector<advisor::Tenant> bound;
+        bound.reserve(t);
+        for (const advisor::Tenant& tenant : tenants) {
+          bound.push_back(machine.Bind(tenant));
+        }
+        advisor::WhatIfEstimatorOptions est_opts;
+        est_opts.batch_threads = 1;
+        advisor::WhatIfCostEstimator estimator(machine.hardware,
+                                               std::move(bound), est_opts);
+        const int dims = machine.hardware.resources->dims();
+        std::vector<advisor::TenantAllocation> probes;
+        probes.reserve(t);
+        for (size_t i = 0; i < t; ++i) {
+          probes.push_back(advisor::TenantAllocation{
+              static_cast<int>(i), simvm::ResourceVector::Full(dims)});
+        }
+        std::vector<double> est = estimator.EstimateMany(probes);
+        for (size_t i = 0; i < t; ++i) unshared_demand[i][m] = est[i];
+      });
+      unshared_s = elapsed(start);
+    }
+    const int unshared_cols = p;
+
+    advisor::FleetAdvisor adv(fleet, tenants);
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::vector<double>> shared_demand = adv.ProbeDemandMatrix();
+    const double shared_s = elapsed(start);
+    const int shared_cols = adv.demand_columns_probed();
     probe_sharing_identical = shared_demand == unshared_demand;
     double sharing_speedup = shared_s > 0.0 ? unshared_s / shared_s : 0.0;
     std::printf("demand probe sharing (8 machines, 3 classes, 16 tenants): "

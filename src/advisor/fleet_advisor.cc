@@ -284,12 +284,10 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemandMatrix() {
   std::vector<size_t> probe_list;
   for (int m = 0; m < p; ++m) {
     size_t r = static_cast<size_t>(m);
-    if (options_.share_demand_probes) {
-      for (size_t e : probe_list) {
-        if (SameMachineClass(machines_[e], machines_[static_cast<size_t>(m)])) {
-          r = e;
-          break;
-        }
+    for (size_t e : probe_list) {
+      if (SameMachineClass(machines_[e], machines_[static_cast<size_t>(m)])) {
+        r = e;
+        break;
       }
     }
     rep[static_cast<size_t>(m)] = r;

@@ -229,14 +229,6 @@ struct FleetOptions {
   /// hardware-derived ThreadPool default. Results are identical for every
   /// thread count.
   int threads = 0;
-  /// Probe the demand matrix once per MACHINE CLASS instead of once per
-  /// machine: boxes with identical hardware capacities, resource model,
-  /// and calibration bindings get byte-identical demand columns, so one
-  /// representative probe serves them all. Fleets are typically a few
-  /// SKUs replicated hundreds of times, so this collapses the dominant
-  /// probing cost. Results are bit-identical either way; false restores
-  /// the per-machine probe (the benches' comparison arm).
-  bool share_demand_probes = true;
 };
 
 /// One machine's slice of the fleet recommendation.
@@ -300,17 +292,18 @@ class FleetAdvisor {
   /// \brief demand[i][m] for all tenants x machines: estimated seconds of
   /// tenant i's whole workload running alone at 100% of machine m.
   ///
-  /// One EstimateMany per probed machine, probes fanned over the fleet
-  /// pool. With FleetOptions::share_demand_probes, only one machine per
-  /// machine class is probed and its column is copied to every classmate
-  /// (identical hardware + calibration imply identical estimates —
-  /// the what-if computation is a pure function of both). Exposed for
-  /// benches/tests; Recommend() calls it internally.
+  /// Probed once per MACHINE CLASS, not once per machine: one
+  /// EstimateMany per class representative, fanned over the fleet pool,
+  /// and its column copied to every classmate. Boxes with identical
+  /// hardware capacities, resource model and calibration bindings get
+  /// bit-identical estimates (the what-if computation is a pure function
+  /// of both — see SameMachineClass), and fleets are typically a few SKUs
+  /// replicated many times, so this collapses the dominant probing cost.
+  /// Exposed for benches/tests; Recommend() calls it internally.
   std::vector<std::vector<double>> ProbeDemandMatrix();
 
   /// Demand columns actually probed by the last ProbeDemandMatrix call:
-  /// num_machines() when sharing is off, the number of distinct machine
-  /// classes when on.
+  /// the number of distinct machine classes.
   int demand_columns_probed() const { return demand_columns_probed_; }
 
   int num_machines() const { return static_cast<int>(machines_.size()); }

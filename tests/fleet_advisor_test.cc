@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "advisor/advisor.h"
+#include "advisor/cost_estimator.h"
 #include "scenario/scenario.h"
 #include "workload/tpch.h"
 #include "workload/units.h"
@@ -240,10 +242,11 @@ TEST(FleetAdvisorTest, ShippingHeavyTenantsLandOnTheNetFastBox) {
 
 TEST(FleetAdvisorTest, ClassSharedDemandProbingIsBitIdentical) {
   // Two machine classes replicated to 16 boxes: class-shared probing must
-  // produce the exact demand matrix of per-machine probing while probing
-  // only one column per class. (Estimates are pure functions of hardware
-  // + calibration, so classmates' columns are bitwise equal by
-  // construction — this pins the memo keying, not the estimator.)
+  // produce the exact demand matrix of probing every machine on its own
+  // while probing only one column per class. (Estimates are pure
+  // functions of hardware + calibration, so classmates' columns are
+  // bitwise equal by construction — this pins the memo keying, not the
+  // estimator.)
   static scenario::Testbed tb;
   std::vector<Tenant> tenants = MixedTenants(tb, 4);
 
@@ -255,35 +258,34 @@ TEST(FleetAdvisorTest, ClassSharedDemandProbingIsBitIdentical) {
     machines.push_back(FleetMachine{hw});
   }
 
-  FleetOptions shared_opts;
-  shared_opts.threads = 1;
-  FleetAdvisor shared(machines, tenants, shared_opts);
-  std::vector<std::vector<double>> shared_demand = shared.ProbeDemandMatrix();
-  EXPECT_EQ(shared.demand_columns_probed(), 2);
+  FleetOptions opts;
+  opts.threads = 1;
+  FleetAdvisor fleet(machines, tenants, opts);
+  std::vector<std::vector<double>> shared_demand = fleet.ProbeDemandMatrix();
+  EXPECT_EQ(fleet.demand_columns_probed(), 2);
 
-  FleetOptions unshared_opts = shared_opts;
-  unshared_opts.share_demand_probes = false;
-  FleetAdvisor unshared(machines, tenants, unshared_opts);
-  std::vector<std::vector<double>> full_demand = unshared.ProbeDemandMatrix();
-  EXPECT_EQ(unshared.demand_columns_probed(), 16);
-
-  ASSERT_EQ(shared_demand.size(), full_demand.size());
-  for (size_t i = 0; i < full_demand.size(); ++i) {
-    ASSERT_EQ(shared_demand[i].size(), full_demand[i].size()) << i;
-    for (size_t m = 0; m < full_demand[i].size(); ++m) {
-      EXPECT_EQ(shared_demand[i][m], full_demand[i][m])
+  // Reference: every machine probed on its own — its bound tenants in one
+  // estimator, one EstimateMany of full-machine probes.
+  WhatIfEstimatorOptions est_opts;
+  est_opts.batch_threads = 1;
+  ASSERT_EQ(shared_demand.size(), tenants.size());
+  for (size_t m = 0; m < machines.size(); ++m) {
+    std::vector<Tenant> bound;
+    for (const Tenant& t : tenants) bound.push_back(machines[m].Bind(t));
+    WhatIfCostEstimator estimator(machines[m].hardware, std::move(bound),
+                                  est_opts);
+    const int dims = machines[m].hardware.resources->dims();
+    std::vector<TenantAllocation> probes;
+    for (int i = 0; i < static_cast<int>(tenants.size()); ++i) {
+      probes.push_back(TenantAllocation{i, simvm::ResourceVector::Full(dims)});
+    }
+    std::vector<double> column = estimator.EstimateMany(probes);
+    for (size_t i = 0; i < tenants.size(); ++i) {
+      ASSERT_EQ(shared_demand[i].size(), machines.size()) << i;
+      EXPECT_EQ(shared_demand[i][m], column[i])
           << "tenant " << i << " machine " << m;
     }
   }
-
-  // End-to-end: the full recommendation is unchanged by sharing.
-  FleetRecommendation a = FleetAdvisor(machines, tenants, shared_opts)
-                              .Recommend();
-  FleetRecommendation b = FleetAdvisor(machines, tenants, unshared_opts)
-                              .Recommend();
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.violated_qos, b.violated_qos);
-  EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
 }
 
 TEST(FleetAdvisorTest, DistinctCalibrationsAreDistinctClasses) {
