@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "advisor/advisor.h"
-#include "advisor/exhaustive_enumerator.h"
+#include "advisor/local_search.h"
 #include "bench_common.h"
 #include "workload/generator.h"
 #include "workload/units.h"

@@ -6,7 +6,7 @@
 // PG).
 #include <cstdio>
 
-#include "advisor/exhaustive_enumerator.h"
+#include "advisor/local_search.h"
 #include "advisor/refinement.h"
 #include "bench_common.h"
 #include "workload/generator.h"

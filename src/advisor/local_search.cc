@@ -1,4 +1,4 @@
-#include "advisor/exhaustive_enumerator.h"
+#include "advisor/local_search.h"
 
 #include <cmath>
 #include <limits>

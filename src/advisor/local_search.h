@@ -10,8 +10,8 @@
 // Callers that want these behind the pipeline's common interface should
 // use ExhaustiveStrategy / LocalSearchStrategy (search_strategy.h), which
 // wrap the free functions via EstimatorObjective.
-#ifndef VDBA_ADVISOR_EXHAUSTIVE_ENUMERATOR_H_
-#define VDBA_ADVISOR_EXHAUSTIVE_ENUMERATOR_H_
+#ifndef VDBA_ADVISOR_LOCAL_SEARCH_H_
+#define VDBA_ADVISOR_LOCAL_SEARCH_H_
 
 #include <functional>
 #include <vector>
@@ -84,4 +84,4 @@ SearchResult LocalSearchBatched(
 
 }  // namespace vdba::advisor
 
-#endif  // VDBA_ADVISOR_EXHAUSTIVE_ENUMERATOR_H_
+#endif  // VDBA_ADVISOR_LOCAL_SEARCH_H_

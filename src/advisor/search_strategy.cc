@@ -6,7 +6,7 @@
 #include <map>
 #include <utility>
 
-#include "advisor/exhaustive_enumerator.h"
+#include "advisor/local_search.h"
 #include "advisor/greedy_enumerator.h"
 #include "search/annealing_strategy.h"
 #include "search/dp_prune_strategy.h"

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "advisor/exhaustive_enumerator.h"
+#include "advisor/local_search.h"
 #include "util/check.h"
 #include "util/rng.h"
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "advisor/exhaustive_enumerator.h"
+#include "advisor/local_search.h"
 #include "scenario/scenario.h"
 #include "workload/tpch.h"
 #include "workload/units.h"
