@@ -8,10 +8,11 @@
 //       + latency recorded per strategy and dimensionality, so the perf
 //       gate guards the strategy code paths),
 //  dp_prune optimality sweep: N in {2, 4, 8, 16} at M = 4 — the bench's
-//       exit code enforces that dp_prune is bit-identical to exhaustive at
-//       N <= 4, beats-or-ties an on-grid greedy at N = 16, and stays under
-//       the latency gate (the quality-vs-latency story past the exhaustive
-//       tenant limit).
+//       exit code enforces that dp_prune beats-or-ties an on-grid greedy at
+//       N = 16 and stays under the latency gate (the quality-vs-latency
+//       story of the exact search; its bit-exact agreement with the
+//       brute-force grid walk at the N <= 4 points is a tier-1 test in
+//       tests/dp_prune_test.cc).
 #include <chrono>
 #include <cstdio>
 
@@ -102,7 +103,7 @@ int main() {
   // The strategy-comparison scenario the SearchStrategy API opens: every
   // registered policy on the same two mixed-intensity tenants with the
   // machine rationing CPU, memory, and I/O bandwidth — selected purely by
-  // SearchSpec::strategy. delta = 0.1 keeps the exhaustive grid small.
+  // SearchSpec::strategy. delta = 0.1 keeps dp_prune's grid small.
   std::printf("\n--- search strategies (M = 3, 2 tenants) ---\n");
   TablePrinter s({"strategy", "objective (est s)", "iter/evals", "ms"});
   simvm::PhysicalMachine m3 = tb.machine();
@@ -126,8 +127,8 @@ int main() {
     RecordMetric("strategy_" + name + "_latency_ms", ms);
   }
   s.Print();
-  std::printf("(exhaustive is the quality yardstick; greedy_refine must "
-              "land between greedy and exhaustive)\n");
+  std::printf("(dp_prune is the quality yardstick; greedy_refine must "
+              "land between greedy and dp_prune)\n");
 
   // --- Search strategies at M = 4 ---
   // Same sweep with the machine additionally rationing network bandwidth
@@ -145,9 +146,8 @@ int main() {
   for (const std::string& name : advisor::RegisteredSearchStrategies()) {
     advisor::AdvisorOptions opts;
     opts.search.strategy = name;
-    // Coarser grid than the M = 3 sweep: the exhaustive arm's grid grows
-    // exponentially in M, and a finer step would put its latency metric
-    // above the perf gate's noise floor on slow hosts.
+    // Coarser grid than the M = 3 sweep: the baselined _m4 metrics were
+    // recorded at this step.
     opts.search.enumerator.delta = 0.25;
     opts.search.enumerator.min_share = 0.25;
     advisor::VirtualizationDesignAdvisor adv(m4, t4, opts);
@@ -164,14 +164,14 @@ int main() {
   s4.Print();
 
   // --- dp_prune optimality sweep: N in {2, 4, 8, 16} at M = 4 ---
-  // The quality-vs-latency story past the exhaustive tenant limit: the DP
-  // must reproduce the exhaustive optimum bit-for-bit where exhaustive can
-  // still run, and keep beating the heuristics where it cannot. Grid
-  // parameters shrink with N so the residual-budget step count (the DP
-  // table's width) stays bounded; the heuristics are seeded ON the DP's
-  // share ladder (min_share + k * delta), because their delta moves from
-  // the off-ladder 1/N split would explore a shifted grid that no
-  // optimality claim covers.
+  // The quality-vs-latency story of the exact search: the DP must keep
+  // beating the heuristics as N grows (its bit-exact agreement with the
+  // brute-force grid walk at the N <= 4 points is checked by
+  // tests/dp_prune_test.cc). Grid parameters shrink with N so the
+  // residual-budget step count (the DP table's width) stays bounded; the
+  // heuristics are seeded ON the DP's share ladder (min_share + k *
+  // delta), because their delta moves from the off-ladder 1/N split would
+  // explore a shifted grid that no optimality claim covers.
   std::printf("\n--- dp_prune optimality sweep (M = 4) ---\n");
   struct SweepPoint {
     int n;
@@ -236,16 +236,6 @@ int main() {
     // these coarse grids, leaving it no move frontier at all.
     run("annealing", on_grid);
 
-    if (point.n <= 4) {
-      auto [ex, ex_ms] = run("exhaustive", {});
-      if (dp.objective != ex.objective ||
-          dp.allocations != ex.allocations) {
-        std::printf("GATE FAILED: dp_prune is not bit-identical to "
-                    "exhaustive at N = %d (dp %.17g vs ex %.17g)\n",
-                    point.n, dp.objective, ex.objective);
-        gates_ok = false;
-      }
-    }
     if (point.n == 16) {
       if (dp.objective > greedy.objective + 1e-9) {
         std::printf("GATE FAILED: dp_prune (%.6f) worse than on-grid "
@@ -262,8 +252,8 @@ int main() {
     }
   }
   sweep_table.Print();
-  std::printf("(gates: dp_prune == exhaustive bit-for-bit at N <= 4; "
-              "dp_prune <= on-grid greedy at N = 16 under %.0f ms)\n",
+  std::printf("(gates: dp_prune <= on-grid greedy at N = 16 under "
+              "%.0f ms)\n",
               kDpLatencyGateMsN16);
   PrintFooter();
   return gates_ok ? 0 : 1;

@@ -3,8 +3,10 @@
 #define VDBA_BENCH_BENCH_COMMON_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "advisor/cost_estimator.h"
 #include "scenario/scenario.h"
 #include "util/table_printer.h"
 
@@ -33,6 +35,29 @@ scenario::Testbed& SharedTestbed();
 
 /// CPU-only experiment allocations: equal CPU, fixed experiment memory.
 std::vector<simvm::ResourceVector> CpuExperimentDefault(int n);
+
+/// Answers every probe with the tenant's noise-free MEASURED completion
+/// time on the simulated testbed. Feeding it to a registered search
+/// strategy turns that strategy into a search over actual costs (with
+/// gains 1 the objective is TrueTotalSeconds, since actual costs add per
+/// tenant) — the figures' "optimal" yardstick.
+class ActualCostEstimator : public advisor::CostEstimator {
+ public:
+  ActualCostEstimator(const scenario::Testbed& tb,
+                      std::vector<advisor::Tenant> tenants)
+      : tb_(tb), tenants_(std::move(tenants)) {}
+  double EstimateSeconds(int tenant, const simvm::ResourceVector& r) override {
+    return tb_.TrueSeconds(tenants_[static_cast<size_t>(tenant)], r);
+  }
+  int num_tenants() const override {
+    return static_cast<int>(tenants_.size());
+  }
+  int num_dims() const override { return tb_.machine().resources->dims(); }
+
+ private:
+  const scenario::Testbed& tb_;
+  std::vector<advisor::Tenant> tenants_;
+};
 
 }  // namespace vdba::bench
 

@@ -40,12 +40,12 @@ storm equal to the uncoalesced replay with fewer repairs).
 The search-strategy sweep follows the same rules: the ablation bench's
 ``strategy_<name>_objective_sec`` / ``strategy_<name>_latency_ms``
 families (plain, ``_m4``, and the dp_prune optimality sweep's
-``strategy_{dp_prune,annealing,greedy,exhaustive}_n{2,4,8,16}_*``
-variants) all gate lower-is-better once snapshotted, and warn-and-pass
-until then. The dp_prune *correctness* gates (bit-identical to
-exhaustive at N <= 4; beats-or-ties on-grid greedy at N = 16 under the
-latency ceiling) are enforced by ``ablation_design_choices``'s own exit
-code, independent of any baseline.
+``strategy_{dp_prune,annealing,greedy}_n{2,4,8,16}_*`` variants) all
+gate lower-is-better once snapshotted, and warn-and-pass until then.
+The dp_prune scale gate (beats-or-ties on-grid greedy at N = 16 under
+the latency ceiling) is enforced by ``ablation_design_choices``'s own
+exit code, independent of any baseline; its bit-exactness against the
+brute-force grid walk at N <= 4 is a tier-1 test (dp_prune_test).
 
 Anything else (counts, shares, candidates, ...) is reported informationally
 but never gates. Latency metrics where both sides sit under

@@ -40,10 +40,7 @@ struct Recommendation {
   /// Estimated relative improvement over the default 1/N allocation,
   /// using estimated costs: (T_default - T_advisor) / T_default.
   double estimated_improvement = 0.0;
-  /// What actually produced the recommendation: the strategy's registry
-  /// key, or its EnumerationResult::effective_strategy when the run
-  /// degenerated (e.g. "exhaustive(fallback:local_search)" past 4
-  /// tenants).
+  /// Registry key of the strategy that produced the recommendation.
   std::string strategy;
 };
 

@@ -2,7 +2,7 @@
 //
 // All of them move shares in delta steps inside the per-dimension box
 // [min_share, 1]; centralizing the feasibility tests (and their epsilon)
-// keeps greedy, exhaustive, local search, and feasibility restoration in
+// keeps greedy, local search, annealing, and feasibility restoration in
 // exact agreement about which moves are legal. The same applies to move
 // *generation*: MoveFrontier materializes every feasible single-delta
 // probe of every tenant, which is what the enumerators hand to

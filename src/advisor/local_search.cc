@@ -1,125 +1,11 @@
 #include "advisor/local_search.h"
 
-#include <cmath>
 #include <limits>
 #include <utility>
 
 #include "util/check.h"
 
 namespace vdba::advisor {
-
-namespace {
-
-/// Enumerates share vectors (v_1..v_n), each a multiple of `delta`, all
-/// >= min_share, summing to <= 1 + eps. Calls `emit` for each.
-void EnumerateShares(int n, double delta, double min_share,
-                     std::vector<double>* current,
-                     const std::function<void()>& emit) {
-  if (static_cast<int>(current->size()) == n) {
-    emit();
-    return;
-  }
-  double used = 0.0;
-  for (double v : *current) used += v;
-  int remaining = n - static_cast<int>(current->size());
-  // Leave enough for the remaining tenants to reach min_share each.
-  double max_here = 1.0 - used - min_share * (remaining - 1);
-  for (double v = min_share; v <= max_here + 1e-9; v += delta) {
-    current->push_back(v);
-    EnumerateShares(n, delta, min_share, current, emit);
-    current->pop_back();
-  }
-}
-
-/// Recursive cartesian product over the per-dimension option lists, outer
-/// loop on dimension 0 (the seed's cpu-outer / mem-inner order).
-void ProductOverDims(
-    const std::vector<std::vector<std::vector<double>>>& options_per_dim,
-    int dim, int n, std::vector<simvm::ResourceVector>* alloc,
-    const std::function<void()>& evaluate) {
-  if (dim == static_cast<int>(options_per_dim.size())) {
-    evaluate();
-    return;
-  }
-  for (const auto& shares : options_per_dim[static_cast<size_t>(dim)]) {
-    for (int i = 0; i < n; ++i) {
-      (*alloc)[static_cast<size_t>(i)].set(dim, shares[static_cast<size_t>(i)]);
-    }
-    ProductOverDims(options_per_dim, dim + 1, n, alloc, evaluate);
-  }
-}
-
-}  // namespace
-
-StatusOr<SearchResult> ExhaustiveSearch(int n, const AllocationObjective& f,
-                                        const EnumeratorOptions& options,
-                                        int dims) {
-  return ExhaustiveSearchBatched(n, BatchedObjective(f), options, dims);
-}
-
-StatusOr<SearchResult> ExhaustiveSearchBatched(
-    int n, const BatchAllocationObjective& f, const EnumeratorOptions& options,
-    int dims, size_t batch_size) {
-  if (n < 1) return Status::InvalidArgument("need at least one tenant");
-  if (n > 4) {
-    return Status::InvalidArgument(
-        "exhaustive search rejects N > 4 (use LocalSearch)");
-  }
-  VDBA_CHECK_GT(dims, 0);
-  VDBA_CHECK_LE(dims, simvm::kMaxResourceDims);
-  VDBA_CHECK_GT(batch_size, 0u);
-  SearchResult best;
-  best.objective = std::numeric_limits<double>::infinity();
-
-  // Feasible share vectors of one allocated dimension (shared by all).
-  std::vector<std::vector<double>> allocated_options;
-  std::vector<double> scratch;
-  EnumerateShares(n, options.delta, options.min_share, &scratch, [&] {
-    allocated_options.push_back(scratch);
-  });
-
-  // Per-dimension option lists: pinned dimensions keep the 1/N default.
-  std::vector<std::vector<std::vector<double>>> options_per_dim(
-      static_cast<size_t>(dims));
-  for (int dim = 0; dim < dims; ++dim) {
-    if (options.Allocates(dim)) {
-      options_per_dim[static_cast<size_t>(dim)] = allocated_options;
-    } else {
-      options_per_dim[static_cast<size_t>(dim)] = {
-          std::vector<double>(static_cast<size_t>(n), 1.0 / n)};
-    }
-  }
-
-  // Walk the grid in chunks: candidates accumulate into `pending` and go
-  // to the objective batch_size at a time (one EstimateMany fan-out per
-  // chunk under EstimatorObjective). Scanning each chunk in grid order
-  // keeps the first-minimum-wins tie-break of the sequential walk.
-  std::vector<std::vector<simvm::ResourceVector>> pending;
-  pending.reserve(batch_size);
-  auto flush = [&] {
-    if (pending.empty()) return;
-    std::vector<double> objs = f(pending);
-    for (size_t k = 0; k < pending.size(); ++k) {
-      ++best.evaluations;
-      if (objs[k] < best.objective) {
-        best.objective = objs[k];
-        best.allocations = std::move(pending[k]);
-      }
-    }
-    pending.clear();
-  };
-  std::vector<simvm::ResourceVector> alloc(
-      static_cast<size_t>(n), simvm::ResourceVector::Uniform(dims, 1.0 / n));
-  ProductOverDims(options_per_dim, 0, n, &alloc, [&] {
-    pending.push_back(alloc);
-    if (pending.size() >= batch_size) flush();
-  });
-  flush();
-  if (best.allocations.empty()) {
-    return Status::Infeasible("no feasible grid allocation");
-  }
-  return best;
-}
 
 BatchAllocationObjective BatchedObjective(AllocationObjective f) {
   return [f = std::move(f)](
@@ -161,6 +47,37 @@ BatchAllocationObjective EstimatorObjective(CostEstimator* estimator,
   };
 }
 
+std::vector<std::vector<simvm::ResourceVector>> PairwiseFrontier(
+    const std::vector<simvm::ResourceVector>& current,
+    const EnumeratorOptions& options) {
+  const int n = static_cast<int>(current.size());
+  const int dims = current.front().dims();
+  std::vector<std::vector<simvm::ResourceVector>> frontier;
+  for (int dim = 0; dim < dims; ++dim) {
+    if (!options.Allocates(dim)) continue;
+    const double delta = options.FinestDelta(dim);
+    for (int from = 0; from < n; ++from) {
+      if (!CanLower(current[static_cast<size_t>(from)], dim, delta,
+                    options.min_share)) {
+        continue;
+      }
+      for (int to = 0; to < n; ++to) {
+        if (from == to) continue;
+        if (!CanRaise(current[static_cast<size_t>(to)], dim, delta)) {
+          continue;
+        }
+        std::vector<simvm::ResourceVector> candidate = current;
+        candidate[static_cast<size_t>(from)] =
+            Lowered(candidate[static_cast<size_t>(from)], dim, delta);
+        candidate[static_cast<size_t>(to)] =
+            Raised(candidate[static_cast<size_t>(to)], dim, delta);
+        frontier.push_back(std::move(candidate));
+      }
+    }
+  }
+  return frontier;
+}
+
 SearchResult LocalSearch(
     const std::vector<std::vector<simvm::ResourceVector>>& starts,
     const AllocationObjective& f, const EnumeratorOptions& options) {
@@ -177,40 +94,16 @@ SearchResult LocalSearchBatched(
   for (const auto& start : starts) {
     std::vector<simvm::ResourceVector> current = start;
     VDBA_CHECK(!current.empty());
-    const int dims = current.front().dims();
-    const int n = static_cast<int>(current.size());
     double current_obj = f({current}).front();
     ++best.evaluations;
     bool improved = true;
     int guard = 0;
     while (improved && guard++ < options.max_iterations) {
       improved = false;
-      // Materialize every feasible pairwise move (lower `from`, raise
-      // `to`, same dimension and step) and evaluate the whole frontier in
-      // one batched call — a parallel estimator fans it all out at once.
-      std::vector<std::vector<simvm::ResourceVector>> frontier;
-      for (int dim = 0; dim < dims; ++dim) {
-        if (!options.Allocates(dim)) continue;
-        const double delta = options.FinestDelta(dim);
-        for (int from = 0; from < n; ++from) {
-          if (!CanLower(current[static_cast<size_t>(from)], dim, delta,
-                        options.min_share)) {
-            continue;
-          }
-          for (int to = 0; to < n; ++to) {
-            if (from == to) continue;
-            if (!CanRaise(current[static_cast<size_t>(to)], dim, delta)) {
-              continue;
-            }
-            std::vector<simvm::ResourceVector> candidate = current;
-            candidate[static_cast<size_t>(from)] =
-                Lowered(candidate[static_cast<size_t>(from)], dim, delta);
-            candidate[static_cast<size_t>(to)] =
-                Raised(candidate[static_cast<size_t>(to)], dim, delta);
-            frontier.push_back(std::move(candidate));
-          }
-        }
-      }
+      // Evaluate the whole move frontier in one batched call — a parallel
+      // estimator fans it all out at once.
+      std::vector<std::vector<simvm::ResourceVector>> frontier =
+          PairwiseFrontier(current, options);
       if (frontier.empty()) break;
       std::vector<double> objs = f(frontier);
       best.evaluations += static_cast<long>(frontier.size());

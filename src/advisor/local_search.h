@@ -1,26 +1,22 @@
-// Exhaustive and local-search enumeration over the allocation simplex.
+// Local search over the allocation simplex, and the objectives it climbs.
 //
-// The paper validates the greedy search against exhaustive enumeration
-// (§4.5: within 5%, usually optimal) and reports "optimal" actual
-// improvements found by exhaustively measuring every feasible allocation
-// (§7.6-7.7). The exhaustive enumerator works for small N; the local-search
-// optimizer extends the comparison to larger N (multi-start hill climbing
-// with the same delta moves), which EXPERIMENTS.md documents as the
-// stand-in for the paper's brute-force sweeps. Both are dimension-generic.
-// Callers that want these behind the pipeline's common interface should
-// use ExhaustiveStrategy / LocalSearchStrategy (search_strategy.h), which
-// wrap the free functions via EstimatorObjective.
+// Multi-start hill climbing with the greedy enumerator's delta moves.
+// Unlike the exact grid search (dp_prune, search/dp_prune_strategy.h), it
+// moves from any starting allocation, on the share grid or off it, which
+// is why the figures' "optimal" yardstick (§7.6-7.7) also climbs from the
+// advisor's answer. Callers that want local search behind the pipeline's
+// common interface should use LocalSearchStrategy (search_strategy.h),
+// which wraps the free functions via EstimatorObjective.
 #ifndef VDBA_ADVISOR_LOCAL_SEARCH_H_
 #define VDBA_ADVISOR_LOCAL_SEARCH_H_
 
 #include <functional>
 #include <vector>
 
+#include "advisor/allocation.h"
 #include "advisor/cost_estimator.h"
-#include "advisor/greedy_enumerator.h"
 #include "advisor/qos.h"
 #include "simvm/resource_vector.h"
-#include "util/status.h"
 
 namespace vdba::advisor {
 
@@ -52,28 +48,20 @@ struct SearchResult {
   long evaluations = 0;
 };
 
-/// Enumerates every grid allocation (step = options.delta, shares >=
-/// options.min_share, sums <= 1 per resource) for N tenants over `dims`
-/// resource dimensions and returns the minimum. Exponential in N * dims;
-/// rejects N > 4. The scalar overload evaluates candidates one by one;
-/// the batched overload hands the grid to `f` in `batch_size` chunks
-/// (pair it with EstimatorObjective so a parallel estimator fans each
-/// chunk's cross-tenant probes out at once). Both visit the grid in the
-/// same order and break objective ties toward the earlier candidate.
-StatusOr<SearchResult> ExhaustiveSearch(int n, const AllocationObjective& f,
-                                        const EnumeratorOptions& options,
-                                        int dims = 2);
-
-StatusOr<SearchResult> ExhaustiveSearchBatched(
-    int n, const BatchAllocationObjective& f, const EnumeratorOptions& options,
-    int dims = 2, size_t batch_size = 512);
+/// Every feasible pairwise transfer at `current`: lower tenant `from` and
+/// raise tenant `to` by the dimension's finest delta, for each allocated
+/// dimension, in (dimension, from, to) order. The move set local search
+/// and annealing share.
+std::vector<std::vector<simvm::ResourceVector>> PairwiseFrontier(
+    const std::vector<simvm::ResourceVector>& current,
+    const EnumeratorOptions& options);
 
 /// Multi-start hill climbing with single-delta moves (the same move set as
 /// the greedy enumerator) from `starts`; returns the best local optimum.
-/// Each pass evaluates the full pairwise move frontier and applies the
-/// steepest improving move. The scalar overload evaluates candidates one
-/// by one; LocalSearchBatched hands each pass's frontier to `f` in one
-/// call (pair it with EstimatorObjective for cross-tenant fan-out).
+/// Each pass evaluates the full PairwiseFrontier and applies the steepest
+/// improving move. The scalar overload evaluates candidates one by one;
+/// LocalSearchBatched hands each pass's frontier to `f` in one call (pair
+/// it with EstimatorObjective for cross-tenant fan-out).
 SearchResult LocalSearch(
     const std::vector<std::vector<simvm::ResourceVector>>& starts,
     const AllocationObjective& f, const EnumeratorOptions& options);

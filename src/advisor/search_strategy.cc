@@ -6,8 +6,8 @@
 #include <map>
 #include <utility>
 
-#include "advisor/local_search.h"
 #include "advisor/greedy_enumerator.h"
+#include "advisor/local_search.h"
 #include "search/annealing_strategy.h"
 #include "search/dp_prune_strategy.h"
 #include "util/check.h"
@@ -15,10 +15,6 @@
 namespace vdba::advisor {
 
 namespace {
-
-/// ExhaustiveSearch is exponential in tenants; beyond this it degenerates
-/// to multi-start local search (matching the free function's N > 4 reject).
-constexpr int kExhaustiveMaxTenants = 4;
 
 int ClampToInt(long v) {
   return static_cast<int>(
@@ -74,10 +70,6 @@ const std::map<std::string, StrategyFactory>& Registry() {
        [](const SearchSpec& spec) {
          return std::make_unique<GreedyEnumerator>(spec.enumerator);
        }},
-      {"exhaustive",
-       [](const SearchSpec& spec) {
-         return std::make_unique<ExhaustiveStrategy>(spec.enumerator);
-       }},
       {"local_search",
        [](const SearchSpec& spec) {
          return std::make_unique<LocalSearchStrategy>(spec.enumerator);
@@ -99,71 +91,6 @@ const std::map<std::string, StrategyFactory>& Registry() {
 }
 
 }  // namespace
-
-EnumerationResult ExhaustiveStrategy::Run(
-    CostEstimator* estimator, const std::vector<QosSpec>& qos,
-    std::vector<simvm::ResourceVector> initial) const {
-  const int n = estimator->num_tenants();
-  const int dims = estimator->num_dims();
-  VDBA_CHECK_EQ(qos.size(), static_cast<size_t>(n));
-
-  BatchAllocationObjective batched = EstimatorObjective(estimator, qos);
-  SearchResult best;
-  bool fell_back = false;
-  if (n <= kExhaustiveMaxTenants) {
-    // The grid holds pinned dimensions at 1/N; when the caller supplies a
-    // starting point, substitute its pinned shares into every candidate
-    // BEFORE scoring (the CPU-only experiments fix memory at the
-    // experiment value, so the argmin must be taken at those shares, not
-    // at 1/N — estimates are not separable across dimensions).
-    auto pin = [this, &initial, n, dims](
-                   std::vector<simvm::ResourceVector> alloc) {
-      if (initial.empty()) return alloc;
-      for (int i = 0; i < n; ++i) {
-        for (int d = 0; d < dims; ++d) {
-          if (!options_.Allocates(d)) {
-            alloc[static_cast<size_t>(i)].set(
-                d, initial[static_cast<size_t>(i)].share(d));
-          }
-        }
-      }
-      return alloc;
-    };
-    BatchAllocationObjective pinned =
-        [&batched, &pin](
-            const std::vector<std::vector<simvm::ResourceVector>>& batch) {
-          std::vector<std::vector<simvm::ResourceVector>> patched;
-          patched.reserve(batch.size());
-          for (const auto& alloc : batch) patched.push_back(pin(alloc));
-          return batched(patched);
-        };
-    if (!initial.empty()) {
-      VDBA_CHECK_EQ(initial.size(), static_cast<size_t>(n));
-    }
-    StatusOr<SearchResult> res =
-        ExhaustiveSearchBatched(n, pinned, options_, dims);
-    VDBA_CHECK_MSG(res.ok(), "exhaustive search failed: %s",
-                   res.status().ToString().c_str());
-    best = std::move(res.value());
-    best.allocations = pin(std::move(best.allocations));
-  } else {
-    std::vector<std::vector<simvm::ResourceVector>> starts;
-    starts.push_back(DefaultAllocation(n, dims));
-    if (!initial.empty()) {
-      for (simvm::ResourceVector& r : initial) r = r.Expanded(dims);
-      starts.push_back(std::move(initial));
-    }
-    best = LocalSearchBatched(starts, batched, options_);
-    fell_back = true;
-  }
-
-  EnumerationResult result =
-      FinalizeEnumeration(estimator, qos, std::move(best.allocations));
-  result.iterations = ClampToInt(best.evaluations);
-  result.converged = true;
-  if (fell_back) result.effective_strategy = "exhaustive(fallback:local_search)";
-  return result;
-}
 
 EnumerationResult LocalSearchStrategy::Run(
     CostEstimator* estimator, const std::vector<QosSpec>& qos,

@@ -13,15 +13,12 @@ namespace vdba::search {
 namespace {
 
 using advisor::BatchAllocationObjective;
-using advisor::CanLower;
-using advisor::CanRaise;
 using advisor::CostEstimator;
 using advisor::DefaultAllocation;
 using advisor::EnumerationResult;
 using advisor::EstimatorObjective;
-using advisor::Lowered;
+using advisor::PairwiseFrontier;
 using advisor::QosSpec;
-using advisor::Raised;
 using simvm::ResourceVector;
 
 /// Fixed seed: identical inputs must yield identical results run-to-run.
@@ -43,39 +40,6 @@ constexpr double kTempFloorFraction = 1e-6;
 int ClampToInt(long v) {
   return static_cast<int>(
       std::min<long>(v, std::numeric_limits<int>::max()));
-}
-
-/// Every feasible pairwise transfer at `current` — identical move set to
-/// LocalSearchBatched so the two strategies explore the same graph.
-std::vector<std::vector<ResourceVector>> PairwiseFrontier(
-    const std::vector<ResourceVector>& current,
-    const advisor::EnumeratorOptions& options) {
-  const int n = static_cast<int>(current.size());
-  const int dims = current.front().dims();
-  std::vector<std::vector<ResourceVector>> frontier;
-  for (int dim = 0; dim < dims; ++dim) {
-    if (!options.Allocates(dim)) continue;
-    const double delta = options.FinestDelta(dim);
-    for (int from = 0; from < n; ++from) {
-      if (!CanLower(current[static_cast<size_t>(from)], dim, delta,
-                    options.min_share)) {
-        continue;
-      }
-      for (int to = 0; to < n; ++to) {
-        if (from == to) continue;
-        if (!CanRaise(current[static_cast<size_t>(to)], dim, delta)) {
-          continue;
-        }
-        std::vector<ResourceVector> candidate = current;
-        candidate[static_cast<size_t>(from)] =
-            Lowered(candidate[static_cast<size_t>(from)], dim, delta);
-        candidate[static_cast<size_t>(to)] =
-            Raised(candidate[static_cast<size_t>(to)], dim, delta);
-        frontier.push_back(std::move(candidate));
-      }
-    }
-  }
-  return frontier;
 }
 
 }  // namespace

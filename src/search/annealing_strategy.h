@@ -3,9 +3,9 @@
 // The cheap stochastic counterpoint to DpPruneStrategy for the ablation
 // bench: where the DP pays for provable optimality with a table, annealing
 // pays almost nothing and occasionally escapes the local optima that trap
-// steepest-descent local search. Moves are the same pairwise share
-// transfers LocalSearchBatched uses (lower one tenant, raise another, same
-// dimension and finest delta step), the whole frontier is priced through
+// steepest-descent local search. Moves come from advisor::PairwiseFrontier,
+// the move set LocalSearchBatched climbs (lower one tenant, raise another,
+// same dimension and finest delta step), the whole frontier is priced through
 // one CostEstimator::EstimateMany fan-out per iteration, and all
 // randomness comes from a fixed-seed vdba::Rng so repeated runs on the
 // same inputs are bit-identical — the SearchStrategy determinism contract

@@ -17,7 +17,7 @@ using advisor::QosSpec;
 using advisor::TenantAllocation;
 using simvm::ResourceVector;
 
-/// Same boundary slack as the exhaustive share enumeration.
+/// Same boundary slack as the grid walk's share enumeration.
 constexpr double kGridEpsilon = 1e-9;
 
 int ClampToInt(long v) {
@@ -31,9 +31,10 @@ BudgetGrid::BudgetGrid(double delta, double min_share)
     : delta_(delta), min_share_(min_share) {
   VDBA_CHECK_GT(delta_, 0.0);
   VDBA_CHECK_GT(min_share_, 0.0);
-  // Repeated addition, NOT min_share + k * delta: the exhaustive walk
-  // accumulates (`for (v = min_share; ...; v += delta)`), and bit-exact
-  // parity needs the exact same rounding at every rung.
+  // Repeated addition, NOT min_share + k * delta: the grid walk
+  // (tests/grid_oracle.h) accumulates (`for (v = min_share; ...;
+  // v += delta)`), and bit-exact parity needs the exact same rounding at
+  // every rung.
   for (double v = min_share_; v <= 1.0 + kGridEpsilon; v += delta_) {
     ladder_.push_back(v);
   }
@@ -105,7 +106,7 @@ bool DpMemoTable::Dominates(const DpEntry& a, const DpEntry& b) const {
   }
   // Cost-tied domination additionally needs the grid-order tie-break to
   // already favor `a`: pruning `b` must never lose the allocation the
-  // exhaustive walk's first-minimum-wins scan would have returned.
+  // grid walk's first-minimum-wins scan would have returned.
   return a.cost < b.cost || grid_order_(a, b) < 0;
 }
 
@@ -155,7 +156,7 @@ EnumerationResult DpPruneStrategy::Run(
 
   // Tenant i's allocation with every non-enumerated dimension already at
   // its final share: the caller's pinned share when an initial allocation
-  // was given, the 1/N default otherwise — ExhaustiveStrategy's pin().
+  // was given, the 1/N default otherwise — as the grid oracle pins them.
   auto base_for = [&](int i) {
     ResourceVector r = ResourceVector::Uniform(dims, 1.0 / n);
     if (!initial.empty()) {
@@ -192,8 +193,8 @@ EnumerationResult DpPruneStrategy::Run(
     return alloc;
   };
 
-  // Exhaustive grid-enumeration order over two same-level prefixes:
-  // dimension-major, tenant-minor, smaller share first. With identical
+  // Grid-enumeration order over two same-level prefixes: dimension-major,
+  // tenant-minor, smaller share first. With identical
   // suffixes this is exactly the order the sequential grid walk visits
   // full candidates in, so "grid_cmp < 0" == "would have been found
   // first".
@@ -244,7 +245,7 @@ EnumerationResult DpPruneStrategy::Run(
       std::array<int, simvm::kMaxResourceDims> k{};
       const ResourceVector base = base_for(i);
       // Odometer over the allocated dimensions, first dimension slowest
-      // (the exhaustive walk's outer loop is dimension 0).
+      // (the grid walk's outer loop is dimension 0).
       for (;;) {
         ResourceVector r = base;
         for (int d : adims) {
@@ -321,7 +322,7 @@ EnumerationResult DpPruneStrategy::Run(
     levels.push_back(table.entries());
   }
 
-  // Final selection mirrors the exhaustive walk's strict-< scan: lowest
+  // Final selection mirrors the grid walk's strict-< scan: lowest
   // accumulated objective, grid-order-earliest on exact ties.
   const std::vector<DpEntry>& finals = levels.back();
   auto final_cmp = make_grid_cmp(n - 1);

@@ -1,17 +1,17 @@
 // Dominance-pruned dynamic-programming search over the allocation grid.
 //
-// ExhaustiveStrategy walks the full cartesian grid (exponential in
-// N x M), so past 4 tenants it degenerates to local search and the
-// optimality yardstick disappears. DpPruneStrategy keeps the yardstick:
-// the objective is separable per tenant (sum_i G_i * Cost_i(R_i)) and the
-// only coupling between tenants is the per-dimension share budget, so the
-// grid argmin can be computed bottom-up over tenant prefixes — for each
+// Walking the full cartesian grid is exponential in N x M, so the
+// brute-force walk survives only as a test oracle for small N
+// (tests/grid_oracle.h). DpPruneStrategy computes the same argmin at any
+// N: the objective is separable per tenant (sum_i G_i * Cost_i(R_i)) and
+// the only coupling between tenants is the per-dimension share budget, so
+// the grid argmin can be computed bottom-up over tenant prefixes — for each
 // prefix and each discretized residual budget, memoize the best partial
 // allocation, and prune any table entry whose (cost, per-dimension
 // residual) is dominated by another. This is the classic DP-table shape of
 // RDF-3X's PlanGen (a `DPset` of subproblems, each keeping only its
 // non-dominated plans), transplanted from join ordering to allocation
-// search. The result is bit-exact with ExhaustiveStrategy on the same grid
+// search. The result is bit-exact with the grid oracle on the same grid
 // (same share doubles, same objective accumulation order, same grid-order
 // tie-break) while the table size is polynomial in the budget
 // discretization instead of exponential in N.
@@ -40,12 +40,12 @@ namespace vdba::search {
 /// \brief The discretized share ladder of one allocated dimension.
 ///
 /// Shares on the grid are min_share + k * delta for k = 0, 1, ... — and
-/// the doubles are generated with the same repeated-addition loop as
-/// ExhaustiveSearch's share enumeration, so a ladder value is bitwise
-/// identical to the share the exhaustive walk would produce. `k` (the
-/// number of *extra* delta steps beyond the min_share floor) is the unit
-/// of the DP's residual-budget accounting: a prefix of `i` tenants that
-/// spent `S` total extra steps in a dimension has consumed
+/// the doubles are generated with the same repeated-addition loop as the
+/// grid oracle's share enumeration (tests/grid_oracle.h), so a ladder
+/// value is bitwise identical to the share the brute-force walk produces.
+/// `k` (the number of *extra* delta steps beyond the min_share floor) is
+/// the unit of the DP's residual-budget accounting: a prefix of `i`
+/// tenants that spent `S` total extra steps in a dimension has consumed
 /// `i * min_share + S * delta` of that dimension's budget of 1.
 class BudgetGrid {
  public:
@@ -76,7 +76,7 @@ class BudgetGrid {
 
   /// Largest extra-step count the next tenant can take given `used` budget
   /// already consumed and `remaining` tenants (itself included) still to
-  /// place — the DP twin of the exhaustive walk's
+  /// place — the DP twin of the grid walk's
   /// `v <= 1 - used - min_share * (remaining - 1) + 1e-9` bound. -1 when
   /// even the min_share floor does not fit.
   int MaxSteps(double used, int remaining) const;
@@ -111,12 +111,12 @@ struct DpEntry {
 ///    cost <=, residual >= in every dimension, and either strictly
 ///    cheaper or grid-order no later. The strictly-cheaper clause is what
 ///    makes the table polynomial; the grid-order clause is what keeps the
-///    exhaustive walk's first-minimum-wins tie-break intact.
+///    grid walk's first-minimum-wins tie-break intact.
 class DpMemoTable {
  public:
   /// Three-way grid-order comparator over two entries of the same level:
   /// negative when `a`'s partial allocation comes earlier in the
-  /// exhaustive grid enumeration order (dimension-major, tenant-minor,
+  /// brute-force grid enumeration order (dimension-major, tenant-minor,
   /// smaller share first), 0 when identical.
   using GridOrder = std::function<int(const DpEntry&, const DpEntry&)>;
 
@@ -151,17 +151,17 @@ class DpMemoTable {
       index_;
 };
 
-/// \brief Provably-optimal grid search that scales past N = 4.
+/// \brief Provably-optimal grid search at any N.
 ///
-/// Returns the same allocation as ExhaustiveStrategy on the same grid
-/// (bit-identical doubles, including ties) for any N, without ever
-/// materializing the cartesian product: the DP table over (tenant prefix,
-/// residual budget) grows with the budget discretization, not with N.
-/// Dimensions the options pin keep the `initial` shares when one is given
-/// (the 1/N grid default otherwise), exactly like ExhaustiveStrategy;
-/// `initial` is otherwise ignored — an exact search has nothing to warm-
-/// start from. Delta schedules do not apply (the grid is the base
-/// `options.delta`, as in ExhaustiveStrategy).
+/// Returns the same allocation as the brute-force grid walk
+/// (tests/grid_oracle.h) on the same grid (bit-identical doubles,
+/// including ties) for any N, without ever materializing the cartesian
+/// product: the DP table over (tenant prefix, residual budget) grows with
+/// the budget discretization, not with N. Dimensions the options pin keep
+/// the `initial` shares when one is given (the 1/N grid default
+/// otherwise); `initial` is otherwise ignored — an exact search has
+/// nothing to warm-start from. Delta schedules do not apply (the grid is
+/// the base `options.delta`).
 class DpPruneStrategy : public advisor::SearchStrategy {
  public:
   explicit DpPruneStrategy(advisor::EnumeratorOptions options)

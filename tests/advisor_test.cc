@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "advisor/local_search.h"
+#include "grid_oracle.h"
 #include "scenario/scenario.h"
 #include "workload/tpch.h"
 #include "workload/units.h"
@@ -62,15 +62,11 @@ TEST_F(AdvisorTest, GreedyWithinFivePercentOfExhaustive) {
   VirtualizationDesignAdvisor adv(tb().machine(), tenants);
   Recommendation rec = adv.Recommend();
 
-  auto objective = [&](const std::vector<simvm::ResourceVector>& a) {
-    return adv.estimator()->EstimateSeconds(0, a[0]) +
-           adv.estimator()->EstimateSeconds(1, a[1]);
-  };
-  auto optimal =
-      ExhaustiveSearch(2, objective, adv.options().search.enumerator);
-  ASSERT_TRUE(optimal.ok());
+  EnumerationResult optimal =
+      oracle::GridArgmin(adv.estimator(), std::vector<QosSpec>(2),
+                         adv.options().search.enumerator);
   double greedy_obj = rec.estimated_seconds[0] + rec.estimated_seconds[1];
-  EXPECT_LE(greedy_obj, optimal->objective * 1.05);
+  EXPECT_LE(greedy_obj, optimal.objective * 1.05);
 }
 
 TEST_F(AdvisorTest, ConvergesWithinPaperIterationBound) {

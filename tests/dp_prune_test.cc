@@ -1,15 +1,20 @@
 // The dominance-pruned DP search: grid discretization round-trips, memo
 // table determinism (ties keep the first-inserted entry), strict-domination
-// pruning, and the headline property — bit-exact agreement with exhaustive
-// enumeration on the same grid, including QoS verdicts.
+// pruning, and the headline property — bit-exact agreement with the
+// brute-force grid walk (grid_oracle.h) on the same grid, including QoS
+// verdicts, on synthetic and on calibrated what-if estimates.
 #include "search/dp_prune_strategy.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "advisor/cost_estimator.h"
 #include "advisor/search_strategy.h"
+#include "grid_oracle.h"
+#include "scenario/scenario.h"
 #include "util/rng.h"
+#include "workload/tpch.h"
 
 namespace vdba::search {
 namespace {
@@ -165,7 +170,7 @@ TEST(DpMemoTableTest, CostTiedDominationNeedsTheGridOrderWitness) {
   table.Insert(a);
   table.Insert(b);
   // a's budget dominates b's, but pruning b could lose the allocation the
-  // exhaustive first-minimum-wins scan returns — both must survive.
+  // grid walk's first-minimum-wins scan returns — both must survive.
   EXPECT_FALSE(table.Dominates(a, b));
   table.Prune();
   EXPECT_EQ(table.entries().size(), 2u);
@@ -195,10 +200,33 @@ EnumerationResult RunStrategy(const std::string& name,
   return MakeSearchStrategy(spec)->Run(&est, qos, std::move(initial));
 }
 
+/// Runs the grid oracle on a fresh copy of the synthetic workload.
+EnumerationResult RunOracle(const SearchSpec& base,
+                            const std::vector<double>& ac,
+                            const std::vector<double>& am,
+                            const std::vector<double>& beta,
+                            const std::vector<QosSpec>& qos) {
+  SyntheticEstimator est(ac, am, beta);
+  return oracle::GridArgmin(&est, qos, base.enumerator);
+}
+
+/// Bitwise agreement of two results: allocations, per-tenant costs, the
+/// objective (exact, not NEAR) and the QoS verdicts.
+void ExpectBitIdentical(const EnumerationResult& got,
+                        const EnumerationResult& want) {
+  ASSERT_EQ(got.allocations.size(), want.allocations.size());
+  for (size_t i = 0; i < want.allocations.size(); ++i) {
+    EXPECT_EQ(got.allocations[i], want.allocations[i]) << i;  // bitwise
+    EXPECT_EQ(got.tenant_costs[i], want.tenant_costs[i]) << i;
+  }
+  EXPECT_EQ(got.objective, want.objective);
+  EXPECT_EQ(got.violated_qos, want.violated_qos);
+}
+
 /// The headline property, swept over random workloads: on the same grid,
-/// dp_prune and exhaustive return bit-identical allocations, objectives,
-/// and QoS verdicts — in particular dp_prune can never report a violation
-/// where exhaustive found a feasible optimum.
+/// dp_prune and the grid oracle return bit-identical allocations,
+/// objectives, and QoS verdicts — in particular dp_prune can never report
+/// a violation where the oracle found a feasible optimum.
 TEST(DpPruneStrategyTest, BitExactWithExhaustiveOverRandomWorkloads) {
   for (int n : {2, 3}) {
     for (uint64_t seed = 1; seed <= 6; ++seed) {
@@ -219,29 +247,92 @@ TEST(DpPruneStrategyTest, BitExactWithExhaustiveOverRandomWorkloads) {
       SearchSpec base;
       if (n >= 3) base.enumerator.delta = 0.1;  // keep the grid small
 
-      EnumerationResult want =
-          RunStrategy("exhaustive", base, ac, am, beta, qos);
+      EnumerationResult want = RunOracle(base, ac, am, beta, qos);
       EnumerationResult got = RunStrategy("dp_prune", base, ac, am, beta, qos);
 
       SCOPED_TRACE(testing::Message() << "n=" << n << " seed=" << seed);
-      ASSERT_EQ(got.allocations.size(), want.allocations.size());
-      for (size_t i = 0; i < want.allocations.size(); ++i) {
-        EXPECT_EQ(got.allocations[i], want.allocations[i]) << i;  // bitwise
-        EXPECT_EQ(got.tenant_costs[i], want.tenant_costs[i]) << i;
-      }
-      EXPECT_EQ(got.objective, want.objective);  // exact, not NEAR
-      EXPECT_EQ(got.violated_qos, want.violated_qos);
-      if (want.violated_qos.empty()) {
-        EXPECT_TRUE(got.violated_qos.empty());
-      }
+      ExpectBitIdentical(got, want);
       EXPECT_TRUE(got.converged);
-      EXPECT_TRUE(got.effective_strategy.empty());  // never degenerates
     }
   }
 }
 
+/// Identical tenants make exact cost ties common (swapping two tenants'
+/// shares often leaves the objective bit-identical), and the share ladder
+/// 0.05, 0.15, ..., 0.95 holds no even split, so the optimum comes as a
+/// set of tied permutations and only the grid-order tie-breaks decide
+/// which one dp_prune returns. Random workloads have no exact ties, so
+/// this is the case that pins DpMemoTable's tie-breaks end to end.
+TEST(DpPruneStrategyTest, BitExactWithTheOracleUnderIdenticalTenants) {
+  for (int n : {2, 3}) {
+    const std::vector<double> ac(static_cast<size_t>(n), 12.0);
+    const std::vector<double> am(static_cast<size_t>(n), 7.0);
+    const std::vector<double> beta(static_cast<size_t>(n), 1.0);
+    const std::vector<QosSpec> qos(static_cast<size_t>(n));
+    SearchSpec base;
+    base.enumerator.delta = 0.1;
+
+    EnumerationResult want = RunOracle(base, ac, am, beta, qos);
+    EnumerationResult got = RunStrategy("dp_prune", base, ac, am, beta, qos);
+
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    ExpectBitIdentical(got, want);
+  }
+}
+
+/// The ablation sweep's exact points on calibrated what-if estimates at
+/// M = 4 (cpu/mem/io/net): DB2 SF1 tenants cycling through Q18 x10,
+/// Q21 x10, Q1 x6 and the replication extract x10. dp_prune prices each
+/// level through the estimator's pooled EstimateMany fan-out; the oracle
+/// walks the same grid one EstimateSeconds probe at a time on its own
+/// estimator.
+TEST(DpPruneStrategyTest, BitExactWithTheOracleOnCalibratedWhatIfEstimates) {
+  scenario::TestbedOptions topts;
+  topts.with_sf10 = false;
+  topts.with_tpcc = false;
+  scenario::Testbed tb(topts);
+  simvm::PhysicalMachine m4 = tb.machine();
+  m4.resources = &simvm::ResourceModel::CpuMemIoNet();
+  simdb::Workload q18, q21, q1, extract;
+  q18.AddStatement(workload::TpchQuery(tb.tpch_sf1(), 18), 10.0);
+  q21.AddStatement(workload::TpchQuery(tb.tpch_sf1(), 21), 10.0);
+  q1.AddStatement(workload::TpchQuery(tb.tpch_sf1(), 1), 6.0);
+  extract.AddStatement(workload::TpchReplicationExtract(tb.tpch_sf1()), 10.0);
+  const std::vector<simdb::Workload> mix = {q18, q21, q1, extract};
+
+  struct Point {
+    int n;
+    double delta;
+    double min_share;
+  };
+  for (const Point& point : {Point{2, 0.2, 0.05}, Point{4, 0.2, 0.15}}) {
+    std::vector<advisor::Tenant> tenants;
+    std::vector<QosSpec> qos;
+    for (int i = 0; i < point.n; ++i) {
+      tenants.push_back(
+          tb.MakeTenant(tb.db2_sf1(), mix[static_cast<size_t>(i)]));
+      qos.push_back(tenants.back().qos);
+    }
+    SearchSpec spec;
+    spec.strategy = "dp_prune";
+    spec.enumerator.delta = point.delta;
+    spec.enumerator.min_share = point.min_share;
+
+    advisor::WhatIfCostEstimator got_est(m4, tenants);
+    advisor::WhatIfCostEstimator want_est(m4, tenants);
+    EnumerationResult got = MakeSearchStrategy(spec)->Run(&got_est, qos, {});
+    EnumerationResult want =
+        oracle::GridArgmin(&want_est, qos, spec.enumerator);
+
+    SCOPED_TRACE(testing::Message() << "n=" << point.n);
+    ASSERT_EQ(want.allocations.front().dims(), 4);
+    ExpectBitIdentical(got, want);
+  }
+}
+
 TEST(DpPruneStrategyTest, BitExactWithExhaustiveUnderPinnedDimensions) {
-  // CPU-only mode with a caller-supplied memory split: the pin() path.
+  // CPU-only mode with a caller-supplied memory split: pinned shares come
+  // from `initial`, not from the 1/N default.
   SyntheticEstimator want_est({40, 5, 12}, {3, 9, 4}, {0, 0, 0});
   SyntheticEstimator got_est({40, 5, 12}, {3, 9, 4}, {0, 0, 0});
   std::vector<QosSpec> qos(3);
@@ -252,22 +343,18 @@ TEST(DpPruneStrategyTest, BitExactWithExhaustiveUnderPinnedDimensions) {
   spec.enumerator.allocate[simvm::kMemDim] = false;
   spec.enumerator.delta = 0.1;
 
-  spec.strategy = "exhaustive";
-  EnumerationResult want = MakeSearchStrategy(spec)->Run(&want_est, qos, init);
+  EnumerationResult want =
+      oracle::GridArgmin(&want_est, qos, spec.enumerator, init);
   spec.strategy = "dp_prune";
   EnumerationResult got = MakeSearchStrategy(spec)->Run(&got_est, qos, init);
 
-  ASSERT_EQ(got.allocations.size(), want.allocations.size());
-  for (size_t i = 0; i < want.allocations.size(); ++i) {
-    EXPECT_EQ(got.allocations[i], want.allocations[i]) << i;
-  }
-  EXPECT_EQ(got.objective, want.objective);
+  ExpectBitIdentical(got, want);
 }
 
 TEST(DpPruneStrategyTest, ScalesPastTheExhaustiveTenantLimitOptimally) {
-  // N = 6 is past ExhaustiveStrategy's grid limit; the DP still runs the
-  // true grid argmin, so it must beat-or-tie every heuristic on the same
-  // grid — and its shares must respect the simplex.
+  // N = 6 is past where the brute-force oracle stays affordable; the DP
+  // still computes the true grid argmin, so it must beat-or-tie every
+  // heuristic on the same grid — and its shares must respect the simplex.
   const std::vector<double> ac = {45, 2, 18, 3, 30, 7};
   const std::vector<double> am = {2, 35, 5, 22, 3, 11};
   const std::vector<double> beta(6, 0.0);

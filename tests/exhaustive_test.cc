@@ -1,6 +1,10 @@
+// The brute-force grid oracle (grid_oracle.h) on closed-form objectives,
+// and local search checked against it.
 #include "advisor/local_search.h"
 
 #include <gtest/gtest.h>
+
+#include "grid_oracle.h"
 
 namespace vdba::advisor {
 namespace {
@@ -16,15 +20,38 @@ double Objective(const std::vector<simvm::ResourceVector>& alloc,
   return total;
 }
 
+/// Objective() as a per-tenant cost estimator, for the grid oracle.
+class ConvexEstimator : public CostEstimator {
+ public:
+  ConvexEstimator(std::vector<double> alpha_cpu, std::vector<double> alpha_mem)
+      : alpha_cpu_(std::move(alpha_cpu)), alpha_mem_(std::move(alpha_mem)) {}
+  double EstimateSeconds(int tenant, const simvm::ResourceVector& r) override {
+    const size_t i = static_cast<size_t>(tenant);
+    return alpha_cpu_[i] / r.cpu_share() + alpha_mem_[i] / r.mem_share();
+  }
+  int num_tenants() const override {
+    return static_cast<int>(alpha_cpu_.size());
+  }
+  int num_dims() const override { return 2; }
+
+ private:
+  std::vector<double> alpha_cpu_, alpha_mem_;
+};
+
+EnumerationResult Oracle(const std::vector<double>& ac,
+                         const std::vector<double>& am,
+                         const EnumeratorOptions& opts) {
+  ConvexEstimator est(ac, am);
+  return oracle::GridArgmin(&est, std::vector<QosSpec>(ac.size()), opts);
+}
+
 TEST(ExhaustiveTest, FindsGridOptimumForTwoTenants) {
   std::vector<double> ac = {36, 4}, am = {1, 1};
   EnumeratorOptions opts;
-  auto res = ExhaustiveSearch(
-      2, [&](const auto& a) { return Objective(a, ac, am); }, opts);
-  ASSERT_TRUE(res.ok());
+  EnumerationResult res = Oracle(ac, am, opts);
   // sqrt(36/4)=3 -> cpu ~ 0.75/0.25.
-  EXPECT_NEAR(res->allocations[0].cpu_share(), 0.75, 0.051);
-  EXPECT_GT(res->evaluations, 100);
+  EXPECT_NEAR(res.allocations[0].cpu_share(), 0.75, 0.051);
+  EXPECT_GT(res.iterations, 100);
 }
 
 TEST(ExhaustiveTest, UsesFullBudgetWhenBeneficial) {
@@ -32,41 +59,28 @@ TEST(ExhaustiveTest, UsesFullBudgetWhenBeneficial) {
   // resource (sum of shares reaches 1 per dimension).
   std::vector<double> ac = {1, 1}, am = {1, 1};
   EnumeratorOptions opts;
-  auto res = ExhaustiveSearch(
-      2, [&](const auto& a) { return Objective(a, ac, am); }, opts);
-  ASSERT_TRUE(res.ok());
-  EXPECT_NEAR(res->allocations[0].cpu_share() + res->allocations[1].cpu_share(),
+  EnumerationResult res = Oracle(ac, am, opts);
+  EXPECT_NEAR(res.allocations[0].cpu_share() + res.allocations[1].cpu_share(),
               1.0, 1e-9);
-}
-
-TEST(ExhaustiveTest, RejectsLargeN) {
-  EnumeratorOptions opts;
-  auto res = ExhaustiveSearch(
-      5, [](const auto&) { return 1.0; }, opts);
-  EXPECT_FALSE(res.ok());
 }
 
 TEST(ExhaustiveTest, CpuOnlyModeFixesMemory) {
   std::vector<double> ac = {9, 1}, am = {1, 1};
   EnumeratorOptions opts;
   opts.allocate[simvm::kMemDim] = false;
-  auto res = ExhaustiveSearch(
-      2, [&](const auto& a) { return Objective(a, ac, am); }, opts);
-  ASSERT_TRUE(res.ok());
-  EXPECT_NEAR(res->allocations[0].mem_share(), 0.5, 1e-9);
-  EXPECT_NEAR(res->allocations[1].mem_share(), 0.5, 1e-9);
-  EXPECT_GT(res->allocations[0].cpu_share(), 0.6);
+  EnumerationResult res = Oracle(ac, am, opts);
+  EXPECT_NEAR(res.allocations[0].mem_share(), 0.5, 1e-9);
+  EXPECT_NEAR(res.allocations[1].mem_share(), 0.5, 1e-9);
+  EXPECT_GT(res.allocations[0].cpu_share(), 0.6);
 }
 
 TEST(LocalSearchTest, MatchesExhaustiveOnConvexObjective) {
   std::vector<double> ac = {25, 4, 9}, am = {4, 16, 1};
   EnumeratorOptions opts;
   auto objective = [&](const auto& a) { return Objective(a, ac, am); };
-  auto exhaustive = ExhaustiveSearch(3, objective, opts);
-  ASSERT_TRUE(exhaustive.ok());
+  EnumerationResult optimal = Oracle(ac, am, opts);
   auto local = LocalSearch({DefaultAllocation(3)}, objective, opts);
-  EXPECT_NEAR(local.objective, exhaustive->objective,
-              exhaustive->objective * 0.05);
+  EXPECT_NEAR(local.objective, optimal.objective, optimal.objective * 0.05);
 }
 
 TEST(LocalSearchTest, MultiStartEscapesPoorStart) {

@@ -42,8 +42,7 @@ class SyntheticEstimator : public CostEstimator {
 TEST(SearchStrategyFactoryTest, RoundTripsEveryRegisteredName) {
   std::vector<std::string> names = RegisteredSearchStrategies();
   for (const char* expected :
-       {"greedy", "exhaustive", "local_search", "greedy_refine", "dp_prune",
-        "annealing"}) {
+       {"greedy", "local_search", "greedy_refine", "dp_prune", "annealing"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
@@ -60,23 +59,6 @@ TEST(SearchStrategyFactoryTest, UnknownNameAborts) {
   SearchSpec spec;
   spec.strategy = "branch_and_bound";
   EXPECT_DEATH(MakeSearchStrategy(spec), "unknown search strategy");
-}
-
-TEST(SearchStrategyTest, ExhaustiveRecordsItsFallbackPastFourTenants) {
-  // At N <= 4 the grid actually runs: the registry key is the truth.
-  SyntheticEstimator small({36, 4}, {2, 8}, {0, 0});
-  SearchSpec spec;
-  spec.strategy = "exhaustive";
-  EnumerationResult grid =
-      MakeSearchStrategy(spec)->Run(&small, std::vector<QosSpec>(2), {});
-  EXPECT_TRUE(grid.effective_strategy.empty());
-
-  // At N > 4 it degenerates to local search and must say so.
-  SyntheticEstimator big({30, 4, 9, 2, 17}, {2, 12, 3, 8, 1},
-                         {0, 0, 0, 0, 0});
-  EnumerationResult fallback =
-      MakeSearchStrategy(spec)->Run(&big, std::vector<QosSpec>(5), {});
-  EXPECT_EQ(fallback.effective_strategy, "exhaustive(fallback:local_search)");
 }
 
 TEST(SearchStrategyTest, GreedyViaStrategyIsBitIdenticalToDirectCall) {
@@ -115,14 +97,14 @@ TEST(SearchStrategyTest, ExhaustiveBeatsOrTiesGreedyAtSmallN) {
   EnumerationResult greedy =
       MakeSearchStrategy(spec)->Run(&greedy_est, qos, {});
 
-  SyntheticEstimator exhaustive_est(ac, am, b);
-  spec.strategy = "exhaustive";
-  EnumerationResult exhaustive =
-      MakeSearchStrategy(spec)->Run(&exhaustive_est, qos, {});
+  // dp_prune is the registry's exact grid search.
+  SyntheticEstimator exact_est(ac, am, b);
+  spec.strategy = "dp_prune";
+  EnumerationResult exact = MakeSearchStrategy(spec)->Run(&exact_est, qos, {});
 
-  EXPECT_LE(exhaustive.objective, greedy.objective + 1e-9);
-  EXPECT_TRUE(exhaustive.converged);
-  EXPECT_GT(exhaustive.iterations, 0);  // objective evaluations
+  EXPECT_LE(exact.objective, greedy.objective + 1e-9);
+  EXPECT_TRUE(exact.converged);
+  EXPECT_GT(exact.iterations, 0);  // DP expansions
 }
 
 TEST(SearchStrategyTest, GreedyRefineBeatsOrTiesGreedy) {
@@ -187,12 +169,12 @@ TEST(SearchStrategyTest, AdvisorRecordsStrategyNameAndObeysSpec) {
   EXPECT_EQ(greedy_rec.strategy, "greedy");
 
   AdvisorOptions ex_opts;
-  ex_opts.search.strategy = "exhaustive";
+  ex_opts.search.strategy = "dp_prune";
   VirtualizationDesignAdvisor ex_adv(tb.machine(), tenants, ex_opts);
   Recommendation ex_rec = ex_adv.Recommend();
-  EXPECT_EQ(ex_rec.strategy, "exhaustive");
+  EXPECT_EQ(ex_rec.strategy, "dp_prune");
 
-  // §4.5: greedy is within 5% of the exhaustive optimum on estimates.
+  // §4.5: greedy is within 5% of the exact grid optimum on estimates.
   EXPECT_LE(ex_rec.objective, greedy_rec.objective + 1e-9);
   EXPECT_GE(greedy_rec.objective, ex_rec.objective * 0.999);
   EXPECT_LE(greedy_rec.objective, ex_rec.objective * 1.05);
