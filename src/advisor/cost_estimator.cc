@@ -12,12 +12,12 @@ namespace vdba::advisor {
 
 std::vector<double> CostEstimator::EstimateBatch(
     int tenant, std::span<const simvm::ResourceVector> candidates) {
-  std::vector<double> out;
-  out.reserve(candidates.size());
+  std::vector<TenantAllocation> batch;
+  batch.reserve(candidates.size());
   for (const simvm::ResourceVector& r : candidates) {
-    out.push_back(EstimateSeconds(tenant, r));
+    batch.push_back(TenantAllocation{tenant, r});
   }
-  return out;
+  return EstimateMany(batch);
 }
 
 std::vector<double> CostEstimator::EstimateMany(
@@ -152,16 +152,6 @@ ThreadPool* WhatIfCostEstimator::pool() {
     pool_ = std::make_unique<ThreadPool>(options_.batch_threads);
   }
   return pool_.get();
-}
-
-std::vector<double> WhatIfCostEstimator::EstimateBatch(
-    int tenant, std::span<const simvm::ResourceVector> candidates) {
-  std::vector<TenantAllocation> batch;
-  batch.reserve(candidates.size());
-  for (const simvm::ResourceVector& r : candidates) {
-    batch.push_back(TenantAllocation{tenant, r});
-  }
-  return EstimateMany(batch);
 }
 
 struct WhatIfCostEstimator::Miss {

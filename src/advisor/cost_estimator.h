@@ -78,9 +78,10 @@ class CostEstimator {
   /// Contract: the returned vector is index-aligned with `candidates` and
   /// *semantically identical* to calling EstimateSeconds per candidate in
   /// order — same values, same observable side effects (caches,
-  /// observation logs, counters) in the same order. Implementations may
-  /// parallelize internally as long as that equivalence holds; the base
-  /// implementation is the sequential loop.
+  /// observation logs, counters) in the same order. The base
+  /// implementation tags every candidate with `tenant` and hands the batch
+  /// to EstimateMany, so an estimator that parallelizes EstimateMany
+  /// parallelizes this too.
   virtual std::vector<double> EstimateBatch(
       int tenant, std::span<const simvm::ResourceVector> candidates);
 
@@ -140,13 +141,6 @@ class WhatIfCostEstimator : public CostEstimator {
     return static_cast<int>(tenants_.size());
   }
   int num_dims() const override { return machine_.resources->dims(); }
-
-  /// Parallel what-if estimation: uncached candidates go through the
-  /// vectorized probe kernel; cache and observation log end up exactly as
-  /// if the batch had run sequentially.
-  std::vector<double> EstimateBatch(
-      int tenant,
-      std::span<const simvm::ResourceVector> candidates) override;
 
   /// Cross-tenant what-if estimation. Distinct uncached (tenant,
   /// allocation) probes are grouped by tenant and priced through

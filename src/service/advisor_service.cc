@@ -37,10 +37,6 @@ class SlotSubsetEstimator : public CostEstimator {
   }
   int num_tenants() const override { return static_cast<int>(slots_.size()); }
   int num_dims() const override { return base_->num_dims(); }
-  std::vector<double> EstimateBatch(
-      int tenant, std::span<const simvm::ResourceVector> candidates) override {
-    return base_->EstimateBatch(Slot(tenant), candidates);
-  }
   std::vector<double> EstimateMany(
       std::span<const TenantAllocation> batch) override {
     std::vector<TenantAllocation> remapped(batch.begin(), batch.end());

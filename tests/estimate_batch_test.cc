@@ -100,8 +100,8 @@ TEST_F(EstimateBatchTest, EmptyBatchIsANoOp) {
 }
 
 TEST_F(EstimateBatchTest, BaseClassDefaultIsSequential) {
-  // A CostEstimator that does not override EstimateBatch still gets the
-  // correct (sequential) semantics.
+  // A CostEstimator that overrides neither EstimateBatch nor EstimateMany
+  // still estimates sequentially, through the base EstimateMany.
   class Synthetic : public CostEstimator {
    public:
     double EstimateSeconds(int, const simvm::ResourceVector& r) override {
