@@ -322,13 +322,6 @@ std::vector<double> WhatIfCostEstimator::EstimateMany(
   return out;
 }
 
-double WhatIfCostEstimator::EstimateWithSignature(
-    int tenant, const simvm::ResourceVector& r, std::string* signature) {
-  const CacheValue& v = Lookup(tenant, r);
-  if (signature != nullptr) *signature = v.signature;
-  return v.est_seconds;
-}
-
 void WhatIfCostEstimator::SetWorkload(int tenant, simdb::Workload workload) {
   VDBA_CHECK_GE(tenant, 0);
   VDBA_CHECK_LT(static_cast<size_t>(tenant), tenants_.size());

@@ -152,10 +152,6 @@ class WhatIfCostEstimator : public CostEstimator {
   std::vector<double> EstimateMany(
       std::span<const TenantAllocation> batch) override;
 
-  /// Estimate plus the plan signature under that allocation.
-  double EstimateWithSignature(int tenant, const simvm::ResourceVector& r,
-                               std::string* signature);
-
   const std::vector<Tenant>& tenants() const { return tenants_; }
   Tenant* mutable_tenant(int i) { return &tenants_[static_cast<size_t>(i)]; }
 

@@ -117,7 +117,6 @@ PeriodResult DynamicConfigurationManager::EndPeriod(
 
     // Update the estimator's view of the workload, then compute the
     // change metric against the previous period.
-    bool workload_changed = true;  // conservatively recompute the metric
     advisor_->estimator()->SetWorkload(i, observed[si]);
     double metric = AvgEstimatePerQuery(i);
     double change = prev_metric_[si] > 0.0
@@ -125,7 +124,6 @@ PeriodResult DynamicConfigurationManager::EndPeriod(
                         : 0.0;
     result.change_metric[si] = change;
     prev_metric_[si] = metric;
-    (void)workload_changed;
 
     double est = models_[si]->Eval(r);
     double error = RelativeError(est, act);
@@ -145,7 +143,6 @@ PeriodResult DynamicConfigurationManager::EndPeriod(
     result.major_change[si] = major;
 
     if (major) {
-      result.major_change[si] = true;
       RebuildModel(i, act, r);
     } else {
       // Minor change (or continuous-refinement policy): one §5 step.

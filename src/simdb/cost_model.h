@@ -30,9 +30,6 @@ class BatchPricer {
   /// `out` must have exactly the batch's size.
   virtual void Price(const Activity& activity,
                      std::span<double> out) const = 0;
-
-  /// Number of batch members this pricer covers.
-  virtual size_t batch_size() const = 0;
 };
 
 /// Abstract query-optimizer cost model (one per engine flavor).
@@ -47,12 +44,11 @@ class CostModel {
   virtual double NativeCost(const Activity& activity,
                             const EngineParams& params) const = 0;
 
-  /// Struct-of-arrays batch pricer over `params` (copied into the pricer).
-  /// The default implementation loops over NativeCost per member — always
-  /// correct; PgCostModel / Db2CostModel override with vectorized inner
-  /// loops that hoist the parameter-independent activity sums.
+  /// Struct-of-arrays batch pricer over `params` (copied into the pricer):
+  /// vectorized inner loops that hoist the parameter-independent activity
+  /// sums.
   virtual std::unique_ptr<BatchPricer> MakeBatchPricer(
-      std::span<const EngineParams> params) const;
+      std::span<const EngineParams> params) const = 0;
 
   /// Memory context the optimizer assumes when costing plans under
   /// `params` (buffer size, per-operator work memory, and any modeling cap

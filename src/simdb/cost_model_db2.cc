@@ -61,8 +61,6 @@ class Db2BatchPricer : public BatchPricer {
     }
   }
 
-  size_t batch_size() const override { return cpuspeed_.size(); }
-
  private:
   CpuEventWeights weights_;
   std::vector<double> cpuspeed_;

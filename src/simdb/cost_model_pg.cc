@@ -64,8 +64,6 @@ class PgBatchPricer : public BatchPricer {
     }
   }
 
-  size_t batch_size() const override { return random_page_cost_.size(); }
-
  private:
   std::vector<double> random_page_cost_;
   std::vector<double> cpu_tuple_cost_;
