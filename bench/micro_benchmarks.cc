@@ -2,9 +2,9 @@
 // optimizer calls, estimator caching (design decision D3), greedy
 // enumeration, batched what-if estimation, fitted-model evaluation, and
 // activity computation. main() additionally times EstimateBatch against
-// sequential estimation and the what-if probe kernel (scalar vs vectorized
-// vs arena+vectorized arms, as probes/second) and records the speedups
-// into BENCH_micro_benchmarks.json via the bench_common metric hook.
+// sequential estimation and the what-if probe kernel (scalar vs
+// arena+vectorized arms, as probes/second) and records the speedups into
+// BENCH_micro_benchmarks.json via the bench_common metric hook.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -224,13 +224,11 @@ void BM_EstimateBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimateBatch)->Arg(0)->Unit(benchmark::kMillisecond);
 
-/// Times one greedy-shaped probe frontier through the what-if hot path
-/// three ways — probe-at-a-time scalar, vectorized grid kernel over
-/// heap-backed plan nodes, and vectorized kernel over arena-pooled nodes —
-/// and records probes/second per arm plus the arm-over-scalar speedups.
-/// The arena+vectorized speedup is this PR's acceptance metric (>= 3x on a
-/// single core: the win is algorithmic walk-sharing, not threads). All
-/// three arms must return bit-identical estimates.
+/// Times one greedy-shaped probe frontier through the what-if hot path two
+/// ways — probe-at-a-time scalar, and the vectorized grid kernel over
+/// arena-pooled plan nodes that EstimateMany runs — and records
+/// probes/second per arm plus the arena+vectorized speedup over scalar.
+/// Both arms must return bit-identical estimates.
 void RecordWhatIfProbeThroughput() {
   scenario::Testbed& tb = SharedTestbed();
   simdb::Workload w = DssWorkload(tb);
@@ -241,12 +239,10 @@ void RecordWhatIfProbeThroughput() {
 
   // Each arm builds a fresh estimator (all probes miss) and runs the whole
   // frontier once. batch_threads=1 is the smallest pool, one worker joined
-  // by the calling thread, so the EstimateMany arms still fan out on 2
+  // by the calling thread, so the EstimateMany arm still fans out on 2
   // threads while the scalar loop runs on 1.
-  auto time_arm = [&](bool vectorized, bool arena,
-                      std::vector<double>* out) {
+  auto time_arm = [&](bool vectorized, std::vector<double>* out) {
     advisor::WhatIfEstimatorOptions opts;
-    opts.arena_plans = arena;
     opts.batch_threads = 1;
     advisor::WhatIfCostEstimator est(
         tb.machine(), {tb.MakeTenant(tb.pg_sf1(), w)}, opts);
@@ -266,38 +262,31 @@ void RecordWhatIfProbeThroughput() {
                                          start)
         .count();
   };
-  auto median3 = [&](bool vectorized, bool arena, std::vector<double>* out) {
-    double a = time_arm(vectorized, arena, out);
-    double b = time_arm(vectorized, arena, out);
-    double c = time_arm(vectorized, arena, out);
+  auto median3 = [&](bool vectorized, std::vector<double>* out) {
+    double a = time_arm(vectorized, out);
+    double b = time_arm(vectorized, out);
+    double c = time_arm(vectorized, out);
     double lo = std::min(a, std::min(b, c));
     double hi = std::max(a, std::max(b, c));
     return a + b + c - lo - hi;
   };
 
-  std::vector<double> scalar_vals, vec_vals, arena_vals;
-  time_arm(false, true, &scalar_vals);  // warm testbed caches once
-  double scalar_s = median3(false, true, &scalar_vals);
-  double vec_s = median3(true, false, &vec_vals);
-  double arena_s = median3(true, true, &arena_vals);
+  std::vector<double> scalar_vals, arena_vals;
+  time_arm(false, &scalar_vals);  // warm testbed caches once
+  double scalar_s = median3(false, &scalar_vals);
+  double arena_s = median3(true, &arena_vals);
 
-  bool identical = scalar_vals == vec_vals && scalar_vals == arena_vals;
+  bool identical = scalar_vals == arena_vals;
   const double probes = static_cast<double>(frontier.size());
   double scalar_rate = scalar_s > 0.0 ? probes / scalar_s : 0.0;
-  double vec_rate = vec_s > 0.0 ? probes / vec_s : 0.0;
   double arena_rate = arena_s > 0.0 ? probes / arena_s : 0.0;
   std::printf(
       "what-if probe throughput (%zu probes x %zu stmts): scalar %.0f/s, "
-      "vectorized %.0f/s (%.2fx), arena+vectorized %.0f/s (%.2fx), "
-      "identical estimates: %s\n",
-      frontier.size(), w.statements.size(), scalar_rate, vec_rate,
-      scalar_s / vec_s, arena_rate, scalar_s / arena_s,
-      identical ? "yes" : "NO (bug)");
+      "arena+vectorized %.0f/s (%.2fx), identical estimates: %s\n",
+      frontier.size(), w.statements.size(), scalar_rate, arena_rate,
+      scalar_s / arena_s, identical ? "yes" : "NO (bug)");
   RecordMetric("whatif_probes_per_sec_scalar", scalar_rate);
-  RecordMetric("whatif_probes_per_sec_vectorized", vec_rate);
   RecordMetric("whatif_probes_per_sec_arena_vectorized", arena_rate);
-  RecordMetric("whatif_vectorized_speedup",
-               vec_s > 0.0 ? scalar_s / vec_s : 0.0);
   RecordMetric("whatif_arena_vectorized_speedup",
                arena_s > 0.0 ? scalar_s / arena_s : 0.0);
   RecordMetric("whatif_probe_results_identical", identical ? 1.0 : 0.0);

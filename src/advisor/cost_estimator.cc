@@ -216,11 +216,8 @@ void WhatIfCostEstimator::ComputeMissesVectorized(std::vector<Miss>* misses) {
     const StmtTask& task = tasks[ti];
     const Tenant& t = tenants_[static_cast<size_t>(group_tenant[task.group])];
     const auto& stmt = t.workload.statements[task.stmt];
-    simdb::GridOptions grid;
-    grid.pooled_nodes = options_.arena_plans;
     std::vector<simdb::OptimizeResult> results =
-        t.engine->WhatIfOptimizeGrid(stmt.query, group_params[task.group],
-                                     grid);
+        t.engine->WhatIfOptimizeGrid(stmt.query, group_params[task.group]);
     std::vector<double>& native = task_native[ti];
     std::vector<std::string>& sig = task_sig[ti];
     native.resize(results.size());

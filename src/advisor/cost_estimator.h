@@ -116,9 +116,6 @@ struct WhatIfEstimatorOptions {
   /// picks a small hardware-derived default. Results are identical for
   /// every thread count.
   int batch_threads = 0;
-  /// Allocate grid candidate plans from pooled arena slabs (see
-  /// GridOptions::pooled_nodes).
-  bool arena_plans = true;
 };
 
 /// Calibrated what-if estimator over a set of tenants.

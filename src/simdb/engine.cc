@@ -52,9 +52,8 @@ OptimizeResult DbEngine::WhatIfOptimize(const QuerySpec& query,
 }
 
 std::vector<OptimizeResult> DbEngine::WhatIfOptimizeGrid(
-    const QuerySpec& query, std::span<const EngineParams> params,
-    const GridOptions& options) const {
-  return optimizer_.OptimizeGrid(query, params, options);
+    const QuerySpec& query, std::span<const EngineParams> params) const {
+  return optimizer_.OptimizeGrid(query, params);
 }
 
 EngineParams DbEngine::DefaultParams() const {

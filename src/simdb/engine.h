@@ -50,8 +50,7 @@ class DbEngine {
   /// Batched what-if: one enumeration pass per memory-context group prices
   /// every vector of `params`. Bit-identical to per-vector WhatIfOptimize.
   std::vector<OptimizeResult> WhatIfOptimizeGrid(
-      const QuerySpec& query, std::span<const EngineParams> params,
-      const GridOptions& options = GridOptions()) const;
+      const QuerySpec& query, std::span<const EngineParams> params) const;
 
   /// Parameter vector the engine actually runs with inside a VM:
   /// descriptive parameters reflecting true hardware rates under `env`

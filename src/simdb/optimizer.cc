@@ -350,13 +350,13 @@ class PlanGridSearch {
  public:
   PlanGridSearch(const Catalog& catalog, const CostModel& model,
                  const QuerySpec& query, std::span<const EngineParams> params,
-                 const MemoryContext& mem, const GridOptions& options)
+                 const MemoryContext& mem)
       : catalog_(catalog),
         model_(model),
         query_(query),
         cards_(catalog, query),
         mem_(mem),
-        arena_(std::make_shared<PlanArena>(options.pooled_nodes)),
+        arena_(std::make_shared<PlanArena>()),
         pricer_(model.MakeBatchPricer(params)),
         k_(params.size()),
         row_(params.size(), 0.0),
@@ -766,8 +766,7 @@ OptimizeResult Optimizer::Optimize(const QuerySpec& query,
 }
 
 std::vector<OptimizeResult> Optimizer::OptimizeGrid(
-    const QuerySpec& query, std::span<const EngineParams> params,
-    const GridOptions& options) const {
+    const QuerySpec& query, std::span<const EngineParams> params) const {
   std::vector<OptimizeResult> results(params.size());
   if (params.empty()) return results;
 
@@ -795,7 +794,7 @@ std::vector<OptimizeResult> Optimizer::OptimizeGrid(
     group_params.reserve(groups[g].size());
     for (size_t i : groups[g]) group_params.push_back(params[i]);
     PlanGridSearch search(catalog_, cost_model_, query, group_params,
-                          contexts[g], options);
+                          contexts[g]);
     std::vector<OptimizeResult> group_results = search.Run();
     for (size_t j = 0; j < groups[g].size(); ++j) {
       results[groups[g][j]] = std::move(group_results[j]);

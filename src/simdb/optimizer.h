@@ -40,14 +40,6 @@ struct OptimizeResult {
   Activity activity;
 };
 
-/// OptimizeGrid knobs.
-struct GridOptions {
-  /// Allocate candidate nodes from pooled arena slabs; false allocates one
-  /// chunk per node (the benches' heap-backed control arm — identical
-  /// results, no slab locality).
-  bool pooled_nodes = true;
-};
-
 /// Plan enumerator + coster. Stateless w.r.t. queries; one instance per
 /// (catalog, cost model) pair.
 class Optimizer {
@@ -66,8 +58,7 @@ class Optimizer {
   /// choice, native_cost, signature, activity) to Optimize(query,
   /// params[k]). Plans of one group alias a shared arena.
   std::vector<OptimizeResult> OptimizeGrid(
-      const QuerySpec& query, std::span<const EngineParams> params,
-      const GridOptions& options = GridOptions()) const;
+      const QuerySpec& query, std::span<const EngineParams> params) const;
 
   const Catalog& catalog() const { return catalog_; }
   const CostModel& cost_model() const { return cost_model_; }

@@ -92,14 +92,9 @@ struct PlanNode {
   double output_width_bytes = 48.0;
 };
 
-/// Arena owning PlanNodes: contiguous StructPool slabs by default;
-/// `pooled = false` allocates one chunk per node (the benches' heap-backed
-/// control arm — identical semantics, no slab locality).
+/// Arena owning PlanNodes in contiguous StructPool slabs.
 class PlanArena {
  public:
-  explicit PlanArena(bool pooled = true)
-      : pool_(pooled ? util::StructPool<PlanNode>::kDefaultChunkCapacity : 1) {}
-
   /// Default-constructed node, owned by this arena.
   PlanNode* New() { return pool_.New(); }
   /// Field-copy of `src` (children pointers included), owned by this arena.

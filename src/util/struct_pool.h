@@ -23,8 +23,8 @@ namespace vdba::util {
 /// Chunked arena allocator for objects of one type T.
 ///
 /// `chunk_capacity` objects share one contiguous allocation; a capacity of 1
-/// degenerates to one heap allocation per object, which benches use as the
-/// "unpooled" control arm without changing any ownership semantics.
+/// degenerates to one heap allocation per object with the same ownership
+/// semantics.
 template <typename T>
 class StructPool {
  public:

@@ -1,7 +1,7 @@
 // OptimizeGrid must be a bit-identical drop-in for per-member Optimize:
 // same plan signatures, same native costs (exact double equality), same
 // activities — for both cost-model flavors, across parameter grids that
-// mix memory-context groups, and with arena pooling on or off.
+// mix memory-context groups.
 #include "simdb/optimizer.h"
 
 #include <gtest/gtest.h>
@@ -79,13 +79,12 @@ class OptimizeGridTest : public ::testing::Test {
   OptimizeGridTest() : db_(MakeTpchDatabase(1.0)) {}
 
   void CheckQueries(const Optimizer& opt,
-                    const std::vector<EngineParams>& sweep,
-                    const GridOptions& options, const char* ctx) {
+                    const std::vector<EngineParams>& sweep, const char* ctx) {
     // Q18 (CPU-bound 3-way), Q21 (I/O-bound 4-way), Q8 (widest join), Q1
     // (single-relation aggregate): the shapes that exercise every stage.
     for (int qn : {1, 8, 18, 21}) {
       QuerySpec q = TpchQuery(db_, qn);
-      std::vector<OptimizeResult> grid = opt.OptimizeGrid(q, sweep, options);
+      std::vector<OptimizeResult> grid = opt.OptimizeGrid(q, sweep);
       ASSERT_EQ(grid.size(), sweep.size()) << ctx << " " << q.name;
       for (size_t k = 0; k < sweep.size(); ++k) {
         OptimizeResult seq = opt.Optimize(q, sweep[k]);
@@ -101,21 +100,12 @@ class OptimizeGridTest : public ::testing::Test {
 
 TEST_F(OptimizeGridTest, PgGridMatchesSequentialBitwise) {
   Optimizer opt(db_.catalog, pg_model_);
-  CheckQueries(opt, PgSweep(), GridOptions(), "pg/pooled");
+  CheckQueries(opt, PgSweep(), "pg");
 }
 
 TEST_F(OptimizeGridTest, Db2GridMatchesSequentialBitwise) {
   Optimizer opt(db_.catalog, db2_model_);
-  CheckQueries(opt, Db2Sweep(), GridOptions(), "db2/pooled");
-}
-
-TEST_F(OptimizeGridTest, HeapBackedArenaIsIdenticalToPooled) {
-  // pooled_nodes=false allocates one chunk per node — the benches' control
-  // arm. Results must not depend on the allocation strategy.
-  Optimizer opt(db_.catalog, pg_model_);
-  GridOptions unpooled;
-  unpooled.pooled_nodes = false;
-  CheckQueries(opt, PgSweep(), unpooled, "pg/unpooled");
+  CheckQueries(opt, Db2Sweep(), "db2");
 }
 
 TEST_F(OptimizeGridTest, SingleMemberGridEqualsScalar) {

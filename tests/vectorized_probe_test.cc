@@ -106,20 +106,6 @@ TEST_F(VectorizedProbeTest, MatchesScalarPathBitwise) {
   }
 }
 
-TEST_F(VectorizedProbeTest, UnpooledArenaMatchesPooled) {
-  std::vector<TenantAllocation> frontier = Frontier();
-  WhatIfEstimatorOptions pooled_opts;
-  pooled_opts.batch_threads = 1;
-  WhatIfCostEstimator pooled(tb_->machine(), tenants_, pooled_opts);
-  WhatIfEstimatorOptions heap_opts = pooled_opts;
-  heap_opts.arena_plans = false;
-  WhatIfCostEstimator heap(tb_->machine(), tenants_, heap_opts);
-  std::vector<double> a = pooled.EstimateMany(frontier);
-  std::vector<double> b = heap.EstimateMany(frontier);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
-}
-
 TEST_F(VectorizedProbeTest, EstimateSecondsAgreesWithBatchedValues) {
   // Interleaving the scalar entry point with batched calls must hit the
   // same cache entries, not recompute.
