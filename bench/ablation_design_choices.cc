@@ -127,8 +127,8 @@ int main() {
     RecordMetric("strategy_" + name + "_latency_ms", ms);
   }
   s.Print();
-  std::printf("(dp_prune is the quality yardstick; greedy_refine must "
-              "land between greedy and dp_prune)\n");
+  std::printf("(dp_prune is the quality yardstick: greedy and annealing "
+              "land at or above its objective)\n");
 
   // --- Search strategies at M = 4 ---
   // Same sweep with the machine additionally rationing network bandwidth

@@ -7,16 +7,6 @@
 
 namespace vdba::advisor {
 
-BatchAllocationObjective BatchedObjective(AllocationObjective f) {
-  return [f = std::move(f)](
-             const std::vector<std::vector<simvm::ResourceVector>>& batch) {
-    std::vector<double> out;
-    out.reserve(batch.size());
-    for (const auto& alloc : batch) out.push_back(f(alloc));
-    return out;
-  };
-}
-
 BatchAllocationObjective EstimatorObjective(CostEstimator* estimator,
                                             std::vector<QosSpec> qos) {
   VDBA_CHECK(estimator != nullptr);
@@ -81,12 +71,6 @@ std::vector<std::vector<simvm::ResourceVector>> PairwiseFrontier(
 SearchResult LocalSearch(
     const std::vector<std::vector<simvm::ResourceVector>>& starts,
     const AllocationObjective& f, const EnumeratorOptions& options) {
-  return LocalSearchBatched(starts, BatchedObjective(f), options);
-}
-
-SearchResult LocalSearchBatched(
-    const std::vector<std::vector<simvm::ResourceVector>>& starts,
-    const BatchAllocationObjective& f, const EnumeratorOptions& options) {
   VDBA_CHECK(!starts.empty());
   SearchResult best;
   best.objective = std::numeric_limits<double>::infinity();
@@ -94,25 +78,27 @@ SearchResult LocalSearchBatched(
   for (const auto& start : starts) {
     std::vector<simvm::ResourceVector> current = start;
     VDBA_CHECK(!current.empty());
-    double current_obj = f({current}).front();
+    double current_obj = f(current);
     ++best.evaluations;
     bool improved = true;
     int guard = 0;
     while (improved && guard++ < options.max_iterations) {
       improved = false;
-      // Evaluate the whole move frontier in one batched call — a parallel
-      // estimator fans it all out at once.
       std::vector<std::vector<simvm::ResourceVector>> frontier =
           PairwiseFrontier(current, options);
       if (frontier.empty()) break;
-      std::vector<double> objs = f(frontier);
-      best.evaluations += static_cast<long>(frontier.size());
       size_t steepest = 0;
+      double steepest_obj = f(frontier[0]);
       for (size_t c = 1; c < frontier.size(); ++c) {
-        if (objs[c] < objs[steepest]) steepest = c;
+        const double obj = f(frontier[c]);
+        if (obj < steepest_obj) {
+          steepest = c;
+          steepest_obj = obj;
+        }
       }
-      if (objs[steepest] + 1e-12 < current_obj) {
-        current_obj = objs[steepest];
+      best.evaluations += static_cast<long>(frontier.size());
+      if (steepest_obj + 1e-12 < current_obj) {
+        current_obj = steepest_obj;
         current = std::move(frontier[steepest]);
         improved = true;
       }

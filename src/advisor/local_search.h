@@ -1,12 +1,13 @@
-// Local search over the allocation simplex, and the objectives it climbs.
+// Local search over the allocation simplex, and the move set it shares with
+// annealing.
 //
 // Multi-start hill climbing with the greedy enumerator's delta moves.
 // Unlike the exact grid search (dp_prune, search/dp_prune_strategy.h), it
 // moves from any starting allocation, on the share grid or off it, which
-// is why the figures' "optimal" yardstick (§7.6-7.7) also climbs from the
-// advisor's answer. Callers that want local search behind the pipeline's
-// common interface should use LocalSearchStrategy (search_strategy.h),
-// which wraps the free functions via EstimatorObjective.
+// is why the figures' "optimal" yardstick (§7.6-7.7) climbs from the
+// advisor's answer over measured costs. Annealing
+// (search/annealing_strategy.h) walks the same PairwiseFrontier, priced
+// through EstimatorObjective.
 #ifndef VDBA_ADVISOR_LOCAL_SEARCH_H_
 #define VDBA_ADVISOR_LOCAL_SEARCH_H_
 
@@ -26,13 +27,10 @@ using AllocationObjective =
     std::function<double(const std::vector<simvm::ResourceVector>&)>;
 
 /// Objective over MANY full allocation vectors at once; element k is the
-/// objective of batch[k]. Lets local search hand a whole move frontier to
-/// a parallel estimator (CostEstimator::EstimateMany) in one fan-out.
+/// objective of batch[k]. Lets a search hand a whole move frontier to a
+/// parallel estimator (CostEstimator::EstimateMany) in one fan-out.
 using BatchAllocationObjective = std::function<std::vector<double>(
     const std::vector<std::vector<simvm::ResourceVector>>&)>;
-
-/// Adapts a scalar objective to the batched interface (sequential loop).
-BatchAllocationObjective BatchedObjective(AllocationObjective f);
 
 /// Batched objective backed by a cost estimator: every (candidate, tenant)
 /// probe of the batch goes through one EstimateMany call, and candidate
@@ -58,17 +56,11 @@ std::vector<std::vector<simvm::ResourceVector>> PairwiseFrontier(
 
 /// Multi-start hill climbing with single-delta moves (the same move set as
 /// the greedy enumerator) from `starts`; returns the best local optimum.
-/// Each pass evaluates the full PairwiseFrontier and applies the steepest
-/// improving move. The scalar overload evaluates candidates one by one;
-/// LocalSearchBatched hands each pass's frontier to `f` in one call (pair
-/// it with EstimatorObjective for cross-tenant fan-out).
+/// Each pass evaluates the full PairwiseFrontier in order and applies the
+/// steepest improving move, the first one on ties.
 SearchResult LocalSearch(
     const std::vector<std::vector<simvm::ResourceVector>>& starts,
     const AllocationObjective& f, const EnumeratorOptions& options);
-
-SearchResult LocalSearchBatched(
-    const std::vector<std::vector<simvm::ResourceVector>>& starts,
-    const BatchAllocationObjective& f, const EnumeratorOptions& options);
 
 }  // namespace vdba::advisor
 

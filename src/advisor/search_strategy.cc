@@ -1,27 +1,15 @@
 #include "advisor/search_strategy.h"
 
-#include <algorithm>
 #include <functional>
-#include <limits>
 #include <map>
 #include <utility>
 
 #include "advisor/greedy_enumerator.h"
-#include "advisor/local_search.h"
 #include "search/annealing_strategy.h"
 #include "search/dp_prune_strategy.h"
 #include "util/check.h"
 
 namespace vdba::advisor {
-
-namespace {
-
-int ClampToInt(long v) {
-  return static_cast<int>(
-      std::min<long>(v, std::numeric_limits<int>::max()));
-}
-
-}  // namespace
 
 EnumerationResult FinalizeEnumeration(
     CostEstimator* estimator, const std::vector<QosSpec>& qos,
@@ -70,14 +58,6 @@ const std::map<std::string, StrategyFactory>& Registry() {
        [](const SearchSpec& spec) {
          return std::make_unique<GreedyEnumerator>(spec.enumerator);
        }},
-      {"local_search",
-       [](const SearchSpec& spec) {
-         return std::make_unique<LocalSearchStrategy>(spec.enumerator);
-       }},
-      {"greedy_refine",
-       [](const SearchSpec& spec) {
-         return std::make_unique<GreedyRefineStrategy>(spec.enumerator);
-       }},
       {"dp_prune",
        [](const SearchSpec& spec) {
          return std::make_unique<search::DpPruneStrategy>(spec.enumerator);
@@ -91,56 +71,6 @@ const std::map<std::string, StrategyFactory>& Registry() {
 }
 
 }  // namespace
-
-EnumerationResult LocalSearchStrategy::Run(
-    CostEstimator* estimator, const std::vector<QosSpec>& qos,
-    std::vector<simvm::ResourceVector> initial) const {
-  const int n = estimator->num_tenants();
-  const int dims = estimator->num_dims();
-  VDBA_CHECK_EQ(qos.size(), static_cast<size_t>(n));
-
-  std::vector<simvm::ResourceVector> start =
-      initial.empty() ? DefaultAllocation(n, dims) : std::move(initial);
-  for (simvm::ResourceVector& r : start) r = r.Expanded(dims);
-
-  SearchResult best = LocalSearchBatched(
-      {std::move(start)}, EstimatorObjective(estimator, qos), options_);
-
-  EnumerationResult result =
-      FinalizeEnumeration(estimator, qos, std::move(best.allocations));
-  result.iterations = ClampToInt(best.evaluations);
-  result.converged = true;
-  return result;
-}
-
-EnumerationResult GreedyRefineStrategy::Run(
-    CostEstimator* estimator, const std::vector<QosSpec>& qos,
-    std::vector<simvm::ResourceVector> initial) const {
-  GreedyEnumerator greedy(options_);
-  EnumerationResult greedy_result =
-      greedy.Run(estimator, qos, std::move(initial));
-
-  SearchResult polished = LocalSearchBatched(
-      {greedy_result.allocations}, EstimatorObjective(estimator, qos),
-      options_);
-
-  EnumerationResult result =
-      FinalizeEnumeration(estimator, qos, std::move(polished.allocations));
-  // Local search optimizes the unconstrained objective; never trade a
-  // QoS-clean greedy result for a violating polish, nor accept a polish
-  // that did not actually improve.
-  bool new_violations =
-      greedy_result.violated_qos.empty() && !result.violated_qos.empty();
-  if (new_violations || result.objective > greedy_result.objective) {
-    greedy_result.iterations =
-        ClampToInt(greedy_result.iterations + polished.evaluations);
-    return greedy_result;
-  }
-  result.iterations =
-      ClampToInt(greedy_result.iterations + polished.evaluations);
-  result.converged = greedy_result.converged;
-  return result;
-}
 
 std::unique_ptr<SearchStrategy> MakeSearchStrategy(const SearchSpec& spec) {
   auto it = Registry().find(spec.strategy);

@@ -4,11 +4,11 @@
 // the advisor: greedy search (Figure 11) is the practical instance, with
 // exhaustive enumeration as the quality yardstick (§4.5, Figure 24).
 // Here the yardstick is dp_prune, which returns the exact grid optimum at
-// any N, and local search is the hill-climbing counterpoint. SearchStrategy
-// is the one interface every pipeline stage — VirtualizationDesignAdvisor,
+// any N, and annealing is the stochastic counterpoint. SearchStrategy is
+// the one interface every pipeline stage — VirtualizationDesignAdvisor,
 // OnlineRefinement, DynamicConfigurationManager — enumerates through, and
 // MakeSearchStrategy is the string-keyed factory that turns a SearchSpec
-// into a strategy, so comparing greedy vs dp_prune vs greedy+refine is a
+// into a strategy, so comparing greedy vs dp_prune vs annealing is a
 // one-line configuration change. Every strategy consumes the batched
 // CostEstimator interface (EstimateMany / EstimatorObjective), so the
 // cross-tenant fan-out applies regardless of the search policy.
@@ -34,8 +34,8 @@ struct EnumerationResult {
   double objective = 0.0;
   /// Unweighted per-tenant estimated costs at the final allocation.
   std::vector<double> tenant_costs;
-  /// Greedy: move iterations. Local search and annealing: objective
-  /// evaluations. dp_prune: DP expansions. Clamped to int.
+  /// Greedy: move iterations. Annealing: objective evaluations.
+  /// dp_prune: DP expansions. Clamped to int.
   int iterations = 0;
   bool converged = false;
   /// Tenants whose degradation limit could not be satisfied (best-effort
@@ -47,11 +47,10 @@ struct EnumerationResult {
 /// plain string so benches/configs can sweep policies without code
 /// changes; MakeSearchStrategy resolves it against the registry.
 struct SearchSpec {
-  /// Registered keys: "greedy" (default, Figure 11), "local_search"
-  /// (steepest-descent hill climbing), "greedy_refine" (greedy then a
-  /// batched local-search polish), "dp_prune" (dominance-pruned DP over
-  /// tenant prefixes — the exact grid optimum at any N; src/search/),
-  /// "annealing" (batched simulated annealing; src/search/).
+  /// Registered keys: "greedy" (default, Figure 11), "dp_prune"
+  /// (dominance-pruned DP over tenant prefixes — the exact grid optimum at
+  /// any N; src/search/), "annealing" (batched simulated annealing;
+  /// src/search/).
   std::string strategy = "greedy";
   /// Move grid shared by every strategy (delta steps, min_share, pinned
   /// dimensions, delta schedules).
@@ -92,41 +91,6 @@ class SearchStrategy {
 
   /// Registry key of this strategy (what MakeSearchStrategy resolves).
   virtual std::string_view name() const = 0;
-};
-
-/// Steepest-descent local search (LocalSearchBatched) from the caller's
-/// starting point, with each pass's move frontier evaluated in one
-/// EstimateMany fan-out via EstimatorObjective.
-class LocalSearchStrategy : public SearchStrategy {
- public:
-  explicit LocalSearchStrategy(EnumeratorOptions options)
-      : options_(std::move(options)) {}
-
-  EnumerationResult Run(
-      CostEstimator* estimator, const std::vector<QosSpec>& qos,
-      std::vector<simvm::ResourceVector> initial) const override;
-  std::string_view name() const override { return "local_search"; }
-
- private:
-  EnumeratorOptions options_;
-};
-
-/// Greedy search followed by a batched local-search polish from the greedy
-/// optimum — the composition the API exists for. Falls back to the plain
-/// greedy result when the polish would violate a degradation limit the
-/// greedy result satisfies.
-class GreedyRefineStrategy : public SearchStrategy {
- public:
-  explicit GreedyRefineStrategy(EnumeratorOptions options)
-      : options_(std::move(options)) {}
-
-  EnumerationResult Run(
-      CostEstimator* estimator, const std::vector<QosSpec>& qos,
-      std::vector<simvm::ResourceVector> initial) const override;
-  std::string_view name() const override { return "greedy_refine"; }
-
- private:
-  EnumeratorOptions options_;
 };
 
 /// Shared result finalization every strategy (greedy included) ends with:

@@ -4,7 +4,7 @@
 // bench: where the DP pays for provable optimality with a table, annealing
 // pays almost nothing and occasionally escapes the local optima that trap
 // steepest-descent local search. Moves come from advisor::PairwiseFrontier,
-// the move set LocalSearchBatched climbs (lower one tenant, raise another,
+// the move set advisor::LocalSearch climbs (lower one tenant, raise another,
 // same dimension and finest delta step), the whole frontier is priced through
 // one CostEstimator::EstimateMany fan-out per iteration, and all
 // randomness comes from a fixed-seed vdba::Rng so repeated runs on the

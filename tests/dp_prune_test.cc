@@ -372,11 +372,11 @@ TEST(DpPruneStrategyTest, ScalesPastTheExhaustiveTenantLimitOptimally) {
   EnumerationResult dp = RunStrategy("dp_prune", base, ac, am, beta, qos);
   EnumerationResult greedy =
       RunStrategy("greedy", base, ac, am, beta, qos, on_grid);
-  EnumerationResult local =
-      RunStrategy("local_search", base, ac, am, beta, qos, on_grid);
+  EnumerationResult annealing =
+      RunStrategy("annealing", base, ac, am, beta, qos, on_grid);
 
   EXPECT_LE(dp.objective, greedy.objective + 1e-9);
-  EXPECT_LE(dp.objective, local.objective + 1e-9);
+  EXPECT_LE(dp.objective, annealing.objective + 1e-9);
   for (int d = 0; d < 2; ++d) {
     double total = 0.0;
     for (const ResourceVector& r : dp.allocations) {

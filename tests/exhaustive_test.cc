@@ -96,25 +96,23 @@ TEST(LocalSearchTest, MultiStartEscapesPoorStart) {
   EXPECT_GT(res.allocations[0].cpu_share(), 0.6);
 }
 
-TEST(LocalSearchTest, BatchedObjectiveMatchesScalar) {
-  std::vector<double> ac = {25, 4, 9}, am = {4, 16, 1};
+TEST(LocalSearchTest, TakesTheFirstOfEquallySteepMoves) {
+  // Tenants 1 and 2 are interchangeable, so giving tenant 0 CPU from
+  // either one is equally steep. The frontier lists the transfer from
+  // tenant 1 first, and the one allowed pass must take it.
+  std::vector<double> ac = {50, 1, 1}, am = {1, 1, 1};
   EnumeratorOptions opts;
+  opts.max_iterations = 1;
   auto objective = [&](const auto& a) { return Objective(a, ac, am); };
-  auto scalar = LocalSearch({DefaultAllocation(3)}, objective, opts);
-  auto batched = LocalSearchBatched({DefaultAllocation(3)},
-                                    BatchedObjective(objective), opts);
-  EXPECT_DOUBLE_EQ(batched.objective, scalar.objective);
-  ASSERT_EQ(batched.allocations.size(), scalar.allocations.size());
-  for (size_t i = 0; i < scalar.allocations.size(); ++i) {
-    EXPECT_EQ(batched.allocations[i], scalar.allocations[i]) << i;
-  }
-  EXPECT_EQ(batched.evaluations, scalar.evaluations);
+  auto res = LocalSearch({DefaultAllocation(3)}, objective, opts);
+  EXPECT_GT(res.allocations[0].cpu_share(), 1.0 / 3);
+  EXPECT_LT(res.allocations[1].cpu_share(), res.allocations[2].cpu_share());
 }
 
 TEST(LocalSearchTest, EstimatorObjectiveFansFrontierThroughEstimateMany) {
-  // A synthetic estimator whose EstimateMany counts fan-outs: local search
-  // over EstimatorObjective must evaluate each pass's frontier in one
-  // batched call and land on the same optimum as the scalar path.
+  // EstimatorObjective prices a whole move frontier in one EstimateMany
+  // call, and each candidate's objective is the gain-weighted sum of its
+  // tenants' estimates.
   class Synthetic : public CostEstimator {
    public:
     double EstimateSeconds(int tenant,
@@ -127,31 +125,28 @@ TEST(LocalSearchTest, EstimatorObjectiveFansFrontierThroughEstimateMany) {
     std::vector<double> EstimateMany(
         std::span<const TenantAllocation> batch) override {
       ++fanouts;
+      probes += static_cast<long>(batch.size());
       return CostEstimator::EstimateMany(batch);
     }
     int fanouts = 0;
+    long probes = 0;
   };
   Synthetic est;
-  EnumeratorOptions opts;
-  auto res = LocalSearchBatched({DefaultAllocation(2)},
-                                EstimatorObjective(&est), opts);
-  EXPECT_GT(res.allocations[0].cpu_share(), 0.6);
-  // One fan-out for the start plus one per hill-climbing pass — far fewer
-  // than the number of candidate evaluations.
-  EXPECT_GT(est.fanouts, 0);
-  EXPECT_LT(static_cast<long>(est.fanouts), res.evaluations);
+  std::vector<QosSpec> qos(2);
+  qos[1].gain_factor = 3.0;
+  std::vector<std::vector<simvm::ResourceVector>> frontier =
+      PairwiseFrontier(DefaultAllocation(2), EnumeratorOptions());
+  ASSERT_FALSE(frontier.empty());
 
-  auto scalar = LocalSearch(
-      {DefaultAllocation(2)},
-      [&](const std::vector<simvm::ResourceVector>& a) {
-        double total = 0.0;
-        for (size_t i = 0; i < a.size(); ++i) {
-          total += est.EstimateSeconds(static_cast<int>(i), a[i]);
-        }
-        return total;
-      },
-      opts);
-  EXPECT_DOUBLE_EQ(res.objective, scalar.objective);
+  std::vector<double> objs = EstimatorObjective(&est, qos)(frontier);
+  EXPECT_EQ(est.fanouts, 1);
+  EXPECT_EQ(est.probes, 2 * static_cast<long>(frontier.size()));
+  ASSERT_EQ(objs.size(), frontier.size());
+  for (size_t k = 0; k < frontier.size(); ++k) {
+    EXPECT_DOUBLE_EQ(objs[k], est.EstimateSeconds(0, frontier[k][0]) +
+                                  3.0 * est.EstimateSeconds(1, frontier[k][1]))
+        << k;
+  }
 }
 
 TEST(LocalSearchTest, RespectsMinShare) {

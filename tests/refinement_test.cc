@@ -155,7 +155,7 @@ TEST_F(RefinementTest, RefinementRunsThroughInjectedStrategy) {
   std::vector<Tenant> tenants = {tb().MakeTenant(tb().db2_sf1(), w1),
                                  tb().MakeTenant(tb().db2_sf1(), w2)};
   AdvisorOptions opts;
-  opts.search.strategy = "greedy_refine";
+  opts.search.strategy = "annealing";
   VirtualizationDesignAdvisor adv(tb().machine(), tenants, opts);
   OnlineRefinement refine(&adv, tb().hypervisor());
   RefinementResult res = refine.Run();
