@@ -225,10 +225,11 @@ void BM_EstimateBatch(benchmark::State& state) {
 BENCHMARK(BM_EstimateBatch)->Arg(0)->Unit(benchmark::kMillisecond);
 
 /// Times one greedy-shaped probe frontier through the what-if hot path two
-/// ways — probe-at-a-time scalar, and the vectorized grid kernel over
-/// arena-pooled plan nodes that EstimateMany runs — and records
-/// probes/second per arm plus the arena+vectorized speedup over scalar.
-/// Both arms must return bit-identical estimates.
+/// ways — probe-at-a-time ("scalar": a one-member grid search per probe
+/// and statement), and batched through EstimateMany (one grid search per
+/// statement over every probe, on arena-pooled plan nodes) — and records
+/// probes/second per arm plus the batched speedup over scalar. Both arms
+/// must return bit-identical estimates.
 void RecordWhatIfProbeThroughput() {
   scenario::Testbed& tb = SharedTestbed();
   simdb::Workload w = DssWorkload(tb);
@@ -250,8 +251,8 @@ void RecordWhatIfProbeThroughput() {
     if (vectorized) {
       *out = est.EstimateMany(frontier);
     } else {
-      // The pre-change sequential path: one optimizer call per
-      // (probe, statement), no sharing.
+      // One probe per call: each (probe, statement) is a one-member
+      // OptimizeGrid, sharing nothing with the other probes.
       out->clear();
       out->reserve(frontier.size());
       for (const auto& item : frontier) {

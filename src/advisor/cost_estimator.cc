@@ -179,8 +179,8 @@ void WhatIfCostEstimator::ComputeMissesVectorized(std::vector<Miss>* misses) {
     groups[g].push_back(m);
   }
 
-  // Calibrated parameter vectors per group member (the scalar path derives
-  // them identically inside Compute).
+  // Calibrated parameter vectors per group member (Compute, the
+  // single-probe path, derives them identically).
   std::vector<std::vector<simdb::EngineParams>> group_params(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     const Tenant& t = tenants_[static_cast<size_t>(group_tenant[g])];
@@ -242,7 +242,7 @@ void WhatIfCostEstimator::ComputeMissesVectorized(std::vector<Miss>* misses) {
   }
 
   // Assemble per-miss totals in statement order — the exact accumulation
-  // (and string concatenation) sequence of the scalar Compute.
+  // (and string concatenation) sequence of the single-probe Compute.
   for (size_t g = 0; g < groups.size(); ++g) {
     const Tenant& t = tenants_[static_cast<size_t>(group_tenant[g])];
     for (size_t j = 0; j < groups[g].size(); ++j) {

@@ -236,7 +236,8 @@ class WhatIfCostEstimator : public CostEstimator {
   CacheShard& ShardFor(const CacheKey& key) {
     return cache_shards_[CacheKeyHash{}(key) % kCacheShards];
   }
-  /// Pure what-if computation (no cache/log mutation; thread-safe).
+  /// Pure what-if computation for one probe (no cache/log mutation;
+  /// thread-safe): a one-member WhatIfOptimize per statement.
   CacheValue Compute(int tenant, const simvm::ResourceVector& r,
                      long* calls) const;
   /// Fills every miss's value via the batched what-if kernel: misses

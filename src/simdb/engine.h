@@ -4,7 +4,8 @@
 // The advisor talks to engines through two doors:
 //   * WhatIfOptimize(query, params) — the paper's what-if mode (§4.1):
 //     cost a query under a hypothetical parameter vector without running
-//     anything.
+//     anything. WhatIfOptimizeGrid prices a batch of vectors in one
+//     search; WhatIfOptimize is its one-member case.
 //   * ExecuteQuery(query, env, vm_memory_mb) — ground truth: the plan the
 //     engine would really pick inside a VM with those resources, timed on
 //     the simulated hardware (including the unmodeled costs).
@@ -43,12 +44,14 @@ class DbEngine {
   const CostModel& cost_model() const { return *cost_model_; }
   const ExecutionProfile& profile() const { return executor_.profile(); }
 
-  /// What-if optimizer call: plan + native-unit cost under `params`.
+  /// What-if optimizer call: plan + native-unit cost under `params` (a
+  /// one-member WhatIfOptimizeGrid).
   OptimizeResult WhatIfOptimize(const QuerySpec& query,
                                 const EngineParams& params) const;
 
   /// Batched what-if: one enumeration pass per memory-context group prices
-  /// every vector of `params`. Bit-identical to per-vector WhatIfOptimize.
+  /// every vector of `params`. Bit-identical to per-vector WhatIfOptimize,
+  /// and cheaper per vector: prefer it whenever probes come in batches.
   std::vector<OptimizeResult> WhatIfOptimizeGrid(
       const QuerySpec& query, std::span<const EngineParams> params) const;
 

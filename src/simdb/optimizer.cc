@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,8 +15,8 @@ namespace {
 
 constexpr int kMaxRelations = 12;
 
-/// Join-graph probes shared by the scalar and grid searches; both are
-/// functions of the query alone, never of the parameter vector.
+/// Join-graph probes: functions of the query alone, never of the
+/// parameter vector.
 bool HasCrossEdge(const QuerySpec& query, RelMask left, RelMask right) {
   for (const JoinPredicate& j : query.joins) {
     RelMask l = 1u << j.left_rel;
@@ -70,289 +68,27 @@ bool InnerJoinInfo(const Catalog& catalog, const QuerySpec& query,
 }
 
 // ---------------------------------------------------------------------------
-// Scalar search (the reference implementation; also the per-call path)
+// Plan search: one enumeration for a whole batch of parameter vectors
 // ---------------------------------------------------------------------------
 
-struct Candidate {
-  const PlanNode* plan = nullptr;
-  double cost = 0.0;
-};
-
-/// DP state and helpers for one Optimize() call. All candidate nodes live
-/// in a per-call arena; the winning tree is cloned into a compact arena the
-/// returned PlanPtr keeps alive.
-class PlanSearch {
- public:
-  PlanSearch(const Catalog& catalog, const CostModel& model,
-             const QuerySpec& query, const EngineParams& params)
-      : catalog_(catalog),
-        model_(model),
-        query_(query),
-        params_(params),
-        cards_(catalog, query),
-        mem_(model.EstimationContext(params)) {}
-
-  OptimizeResult Run() {
-    const PlanNode* plan = BuildJoinTree();
-    plan = AddAggregate(plan);
-    plan = AddOrderBy(plan);
-    plan = AddUpdate(plan);
-    plan = AddResult(plan);
-
-    // The DP memo dies with this search; the winner moves to a compact
-    // arena sized exactly to the tree.
-    auto owner = std::make_shared<PlanArena>();
-    const PlanNode* root = ClonePlan(*plan, owner.get());
-    OptimizeResult result;
-    result.activity = ComputeActivity(catalog_, *root, mem_, &result.signature);
-    result.native_cost = model_.NativeCost(result.activity, params_);
-    result.plan = AdoptPlan(std::move(owner), root);
-    return result;
-  }
-
- private:
-  double CostOf(const PlanNode& plan) const {
-    Activity act = ComputeActivity(catalog_, plan, mem_, nullptr);
-    return model_.NativeCost(act, params_);
-  }
-
-  void Consider(Candidate* best, const PlanNode* plan) const {
-    double cost = CostOf(*plan);
-    if (best->plan == nullptr || cost < best->cost) {
-      best->plan = plan;
-      best->cost = cost;
-    }
-  }
-
-  const PlanNode* MakeScan(int rel_index, bool force_seq) {
-    const RelationRef& rel = query_.relations[static_cast<size_t>(rel_index)];
-    PlanNode* node = arena_.New();
-    node->table = rel.table;
-    node->scan_selectivity = rel.filter_selectivity;
-    node->num_predicates = rel.num_predicates;
-    node->remote_fraction = rel.remote_fraction;
-    node->output_rows = cards_.BaseRows(rel_index);
-    node->output_width_bytes = cards_.RowWidth(1u << rel_index);
-    node->op = PlanOp::kSeqScan;
-    if (!force_seq && !rel.index_column.empty()) {
-      IndexId idx = catalog_.FindIndex(rel.table, rel.index_column);
-      if (idx != kInvalidIndex) {
-        PlanNode* index_scan = arena_.New(*node);
-        index_scan->op = PlanOp::kIndexScan;
-        index_scan->index = idx;
-        // Pick the cheaper access path.
-        if (CostOf(*index_scan) < CostOf(*node)) return index_scan;
-      }
-    }
-    return node;
-  }
-
-  /// Joined-output node shared by all physical join candidates.
-  const PlanNode* MakeJoin(PlanOp op, const PlanNode* left,
-                           const PlanNode* right, RelMask mask) {
-    PlanNode* node = arena_.New();
-    node->op = op;
-    node->left = left;
-    node->right = right;
-    node->output_rows = cards_.SubsetRows(mask);
-    node->output_width_bytes = cards_.RowWidth(mask);
-    return node;
-  }
-
-  const PlanNode* MakeSort(const PlanNode* child) {
-    PlanNode* node = arena_.New();
-    node->op = PlanOp::kSort;
-    node->output_rows = child->output_rows;
-    node->output_width_bytes = child->output_width_bytes;
-    node->left = child;
-    return node;
-  }
-
-  const PlanNode* BuildJoinTree() {
-    const int n = cards_.num_relations();
-    VDBA_CHECK_LE(n, kMaxRelations);
-    const RelMask all = static_cast<RelMask>((1u << n) - 1u);
-    std::vector<Candidate> best(all + 1);
-
-    for (int i = 0; i < n; ++i) {
-      RelMask m = 1u << i;
-      best[m].plan = MakeScan(i, /*force_seq=*/false);
-      best[m].cost = CostOf(*best[m].plan);
-    }
-    if (n == 1) return best[1].plan;
-
-    for (RelMask mask = 1; mask <= all; ++mask) {
-      if (std::popcount(mask) < 2) continue;
-      if (!cards_.Connected(mask)) continue;
-      Candidate& entry = best[mask];
-      // Enumerate proper subsets (left side); right side = complement.
-      for (RelMask left = (mask - 1) & mask; left != 0;
-           left = (left - 1) & mask) {
-        RelMask right = mask & ~left;
-        if (right == 0) continue;
-        if (!best[left].plan || !best[right].plan) continue;
-        if (!HasCrossEdge(query_, left, right)) continue;
-
-        // Hash join: build on the right subtree.
-        Consider(&entry, MakeJoin(PlanOp::kHashJoin, best[left].plan,
-                                  best[right].plan, mask));
-        // Merge join: sort both inputs.
-        Consider(&entry,
-                 MakeJoin(PlanOp::kMergeJoin, MakeSort(best[left].plan),
-                          MakeSort(best[right].plan), mask));
-        // Index nested-loop: right side must be a single relation with a
-        // usable index on the join column(s).
-        if (std::popcount(right) == 1) {
-          int inner_rel = std::countr_zero(right);
-          double per_probe = 0.0;
-          bool index_usable = false;
-          IndexId idx = kInvalidIndex;
-          if (InnerJoinInfo(catalog_, query_, cards_, left, inner_rel,
-                            &per_probe, &index_usable, &idx)) {
-            if (index_usable) {
-              Consider(&entry, MakeJoinWithIndexInner(best[left].plan,
-                                                      inner_rel, per_probe,
-                                                      idx, mask));
-            }
-            // Plain nested loop with a materialized inner (attractive only
-            // for tiny inners such as nation/region).
-            Consider(&entry, MakeJoin(PlanOp::kNestLoopJoin, best[left].plan,
-                                      best[right].plan, mask));
-          }
-        }
-      }
-      VDBA_CHECK_MSG(entry.plan != nullptr,
-                     "no join candidate for connected mask (query %s)",
-                     query_.name.c_str());
-    }
-    VDBA_CHECK_MSG(best[all].plan != nullptr,
-                   "disconnected join graph in query %s", query_.name.c_str());
-    return best[all].plan;
-  }
-
-  const PlanNode* MakeJoinWithIndexInner(const PlanNode* outer, int inner_rel,
-                                         double per_probe_rows, IndexId idx,
-                                         RelMask mask) {
-    // The inner child carries relation metadata but is not scanned
-    // standalone (the walker special-cases kIndexNestLoopJoin).
-    const PlanNode* inner = MakeScan(inner_rel, /*force_seq=*/true);
-    PlanNode* node = arena_.New();
-    node->op = PlanOp::kIndexNestLoopJoin;
-    node->left = outer;
-    node->right = inner;
-    node->inner_rows_per_probe = per_probe_rows;
-    node->inner_index = idx;
-    node->output_rows = cards_.SubsetRows(mask);
-    node->output_width_bytes = cards_.RowWidth(mask);
-    return node;
-  }
-
-  const PlanNode* AddAggregate(const PlanNode* child) {
-    const AggregateSpec& agg = query_.aggregate;
-    if (agg.kind == AggregateKind::kNone) return child;
-
-    double groups = agg.kind == AggregateKind::kScalar
-                        ? 1.0
-                        : std::min(agg.num_groups, child->output_rows);
-    auto make_agg = [&](PlanOp op, const PlanNode* input) {
-      PlanNode* node = arena_.New();
-      node->op = op;
-      node->num_groups = groups < 1.0 ? 1.0 : groups;
-      node->num_aggregates = agg.num_aggregates;
-      node->group_row_width = agg.group_row_width;
-      node->having_selectivity = agg.having_selectivity;
-      node->output_rows = cards_.RowsAfterAggregate();
-      node->output_width_bytes = agg.group_row_width;
-      node->left = input;
-      return node;
-    };
-
-    const PlanNode* hash_agg = make_agg(PlanOp::kHashAggregate, child);
-    if (agg.kind == AggregateKind::kScalar) return hash_agg;
-    const PlanNode* sort_agg =
-        make_agg(PlanOp::kSortAggregate, MakeSort(child));
-    return CostOf(*hash_agg) <= CostOf(*sort_agg) ? hash_agg : sort_agg;
-  }
-
-  const PlanNode* AddOrderBy(const PlanNode* child) {
-    if (!query_.order_by.required) return child;
-    // Sorting already-sorted output of a SortAggregate is free in practice;
-    // the optimizer still places the node (its cost is tiny for few rows).
-    PlanNode* node = arena_.New();
-    node->op = PlanOp::kSort;
-    node->output_rows = child->output_rows;
-    node->output_width_bytes = query_.order_by.row_width;
-    node->left = child;
-    return node;
-  }
-
-  const PlanNode* AddUpdate(const PlanNode* child) {
-    if (query_.update.rows_modified <= 0.0) return child;
-    PlanNode* node = arena_.New();
-    node->op = PlanOp::kUpdate;
-    node->update = query_.update;
-    node->output_rows = child->output_rows;
-    node->output_width_bytes = child->output_width_bytes;
-    node->left = child;
-    return node;
-  }
-
-  const PlanNode* AddResult(const PlanNode* child) {
-    PlanNode* node = arena_.New();
-    node->op = PlanOp::kResult;
-    node->limit_rows = query_.limit_rows;
-    double rows = child->output_rows;
-    if (query_.limit_rows > 0.0 && rows > query_.limit_rows) {
-      rows = query_.limit_rows;
-    }
-    node->output_rows = rows;
-    node->output_width_bytes = child->output_width_bytes;
-    node->extra_ops_per_row = query_.extra_ops_per_row;
-    node->ship_fraction = query_.ship_fraction;
-    node->left = child;
-    return node;
-  }
-
-  const Catalog& catalog_;
-  const CostModel& model_;
-  const QuerySpec& query_;
-  const EngineParams& params_;
-  CardinalityModel cards_;
-  MemoryContext mem_;
-  PlanArena arena_;  ///< Owns every candidate node of this search.
-};
-
-// ---------------------------------------------------------------------------
-// Grid search: one enumeration, a whole batch of parameter vectors
-// ---------------------------------------------------------------------------
-
-/// Per-member DP entry: best plan + best cost per batch member, side by
-/// side (struct-of-arrays over the batch).
-struct GridEntry {
-  std::vector<const PlanNode*> plan;
-  std::vector<double> cost;
-
-  bool Present() const { return !plan.empty(); }
-  void Init(size_t k) {
-    plan.assign(k, nullptr);
-    cost.assign(k, 0.0);
-  }
-};
-
-/// Joint DP over every batch member sharing one MemoryContext. The mask /
-/// split / candidate-generation order replicates PlanSearch exactly per
-/// member (same strict-< and <= tie-breaks), so each member's plan choice,
-/// cost, signature, and activity are bit-identical to its scalar run. The
-/// speedup comes from walking each distinct candidate's activity once:
-/// members agreeing on a candidate's children share the walk, and the
-/// BatchPricer prices all members from that single walk.
+/// Dynamic-programming join enumeration over connected subgraphs, run once
+/// for every batch member that shares one MemoryContext. Each member keeps
+/// its own best plan and cost per relation subset and chooses exactly as a
+/// search run for it alone would: masks ascend, left sides descend over
+/// proper submasks, candidates come in the order hash, merge, index nested
+/// loop, nested loop; a candidate wins only when strictly cheaper (the
+/// first wins ties), an index scan only when strictly cheaper than the seq
+/// scan, and the hash aggregate wins ties on <=. tests/plan_search_oracle.h
+/// is that single-vector search; optimize_grid_test holds every member to
+/// it bit for bit. The batch shares work: each distinct candidate's
+/// activity is walked once, and the BatchPricer prices every member from
+/// that walk.
 class PlanGridSearch {
  public:
   PlanGridSearch(const Catalog& catalog, const CostModel& model,
                  const QuerySpec& query, std::span<const EngineParams> params,
                  const MemoryContext& mem)
       : catalog_(catalog),
-        model_(model),
         query_(query),
         cards_(catalog, query),
         mem_(mem),
@@ -363,26 +99,23 @@ class PlanGridSearch {
         row2_(params.size(), 0.0) {}
 
   std::vector<OptimizeResult> Run() {
-    GridEntry joined = BuildJoinTree();
-    std::vector<const PlanNode*> roots = std::move(joined.plan);
-    AddAggregate(&roots);
-    AddOrderBy(&roots);
-    AddUpdate(&roots);
-    AddResult(&roots);
+    BuildJoinTree();
+    AddAggregate();
+    AddOrderBy();
+    AddUpdate();
+    AddResult();
 
     // Finalize once per distinct root: members that converged on the same
     // plan share its signature walk and activity.
-    std::vector<const PlanNode*> uniq;
-    std::vector<size_t> which;
-    Distinct(roots, &uniq, &which);
+    Distinct(roots_);
     std::vector<OptimizeResult> results(k_);
-    for (size_t u = 0; u < uniq.size(); ++u) {
+    for (size_t u = 0; u < uniq_.size(); ++u) {
       std::string signature;
-      Activity act = ComputeActivity(catalog_, *uniq[u], mem_, &signature);
+      Activity act = ComputeActivity(catalog_, *uniq_[u], mem_, &signature);
       pricer_->Price(act, row_);
       for (size_t k = 0; k < k_; ++k) {
-        if (which[k] != u) continue;
-        results[k].plan = AdoptPlan(arena_, uniq[u]);
+        if (which_[k] != u) continue;
+        results[k].plan = AdoptPlan(arena_, uniq_[u]);
         results[k].native_cost = row_[k];
         results[k].signature = signature;
         results[k].activity = act;
@@ -418,42 +151,55 @@ class PlanGridSearch {
     cand_costs_.clear();
   }
 
-  static void ConsiderOne(GridEntry* entry, size_t k, const PlanNode* plan,
-                          double cost) {
-    // Mirrors PlanSearch::Consider: first candidate wins ties (strict <).
-    if (entry->plan[k] == nullptr || cost < entry->cost[k]) {
-      entry->plan[k] = plan;
-      entry->cost[k] = cost;
+  /// Offers `plan` at `cost` to the best-table cell `cell` (mask * k_ +
+  /// member): the first candidate wins ties (strict <).
+  void ConsiderOne(size_t cell, const PlanNode* plan, double cost) {
+    if (best_plan_[cell] == nullptr || cost < best_cost_[cell]) {
+      best_plan_[cell] = plan;
+      best_cost_[cell] = cost;
     }
   }
 
-  /// First-seen-order dedup of per-member plans; which[k] indexes uniq.
-  static void Distinct(const std::vector<const PlanNode*>& items,
-                       std::vector<const PlanNode*>* uniq,
-                       std::vector<size_t>* which) {
-    uniq->clear();
-    which->assign(items.size(), 0);
+  /// First-seen-order dedup of per-member plans into uniq_; which_[k]
+  /// indexes uniq_.
+  void Distinct(const std::vector<const PlanNode*>& items) {
+    uniq_.clear();
+    which_.assign(items.size(), 0);
     for (size_t k = 0; k < items.size(); ++k) {
       size_t u = 0;
-      while (u < uniq->size() && (*uniq)[u] != items[k]) ++u;
-      if (u == uniq->size()) uniq->push_back(items[k]);
-      (*which)[k] = u;
+      while (u < uniq_.size() && uniq_[u] != items[k]) ++u;
+      if (u == uniq_.size()) uniq_.push_back(items[k]);
+      which_[k] = u;
     }
   }
 
-  // --- node builders (field-for-field mirrors of PlanSearch) ---------------
+  // --- node builders -------------------------------------------------------
 
-  const PlanNode* SortOf(const PlanNode* child) {
-    auto [it, inserted] = sort_memo_.try_emplace(child, nullptr);
-    if (inserted) {
-      PlanNode* node = arena_->New();
-      node->op = PlanOp::kSort;
-      node->output_rows = child->output_rows;
-      node->output_width_bytes = child->output_width_bytes;
-      node->left = child;
-      it->second = node;
+  const PlanNode* NewSort(const PlanNode* child) {
+    PlanNode* node = arena_->New();
+    node->op = PlanOp::kSort;
+    node->output_rows = child->output_rows;
+    node->output_width_bytes = child->output_width_bytes;
+    node->left = child;
+    return node;
+  }
+
+  /// Sort above member k's best plan for `mask`. Sort fields derive from
+  /// the child alone, so members whose best plan is the same node share
+  /// one Sort node, and with it the merge-join candidates built on it.
+  /// Members ask in order, so every earlier member's Sort exists; the
+  /// nearest one with the same plan is usually the previous member.
+  const PlanNode* SortedBest(RelMask mask, size_t k) {
+    const size_t base = mask * k_;
+    const PlanNode*& sorted = best_sort_[base + k];
+    if (sorted == nullptr) {
+      const PlanNode* child = best_plan_[base + k];
+      for (size_t j = k; j-- > 0 && sorted == nullptr;) {
+        if (best_plan_[base + j] == child) sorted = best_sort_[base + j];
+      }
+      if (sorted == nullptr) sorted = NewSort(child);
     }
-    return it->second;
+    return sorted;
   }
 
   PlanNode* NewScanNode(int rel_index) {
@@ -478,10 +224,8 @@ class PlanGridSearch {
   }
 
   /// Access-path selection for one relation: price seq vs index scan once,
-  /// choose per member on strict < exactly like PlanSearch::MakeScan.
-  GridEntry ScanEntry(int rel_index) {
-    GridEntry entry;
-    entry.Init(k_);
+  /// then per member the index scan wins only when strictly cheaper.
+  void PlanScan(int rel_index) {
     const RelationRef& rel = query_.relations[static_cast<size_t>(rel_index)];
     const PlanNode* seq = NewScanNode(rel_index);
     Activity seq_act = ComputeActivity(catalog_, *seq, mem_, nullptr);
@@ -498,28 +242,22 @@ class PlanGridSearch {
         pricer_->Price(ix_act, row2_);
       }
     }
+    const size_t base = (size_t{1} << rel_index) * k_;
     for (size_t k = 0; k < k_; ++k) {
-      if (index_scan != nullptr && row2_[k] < row_[k]) {
-        entry.plan[k] = index_scan;
-        entry.cost[k] = row2_[k];
-      } else {
-        entry.plan[k] = seq;
-        entry.cost[k] = row_[k];
-      }
+      const bool use_index = index_scan != nullptr && row2_[k] < row_[k];
+      best_plan_[base + k] = use_index ? index_scan : seq;
+      best_cost_[base + k] = use_index ? row2_[k] : row_[k];
     }
-    return entry;
   }
 
-  void ConsiderJoin(GridEntry* entry, PlanOp op, const GridEntry& lefts,
-                    const GridEntry& rights, RelMask mask, bool sort_inputs) {
+  void ConsiderJoin(RelMask mask, PlanOp op, RelMask left, RelMask right,
+                    bool sort_inputs) {
     ResetCandidates();
     for (size_t k = 0; k < k_; ++k) {
-      const PlanNode* l = lefts.plan[k];
-      const PlanNode* r = rights.plan[k];
-      if (sort_inputs) {
-        l = SortOf(l);
-        r = SortOf(r);
-      }
+      const PlanNode* l =
+          sort_inputs ? SortedBest(left, k) : best_plan_[left * k_ + k];
+      const PlanNode* r =
+          sort_inputs ? SortedBest(right, k) : best_plan_[right * k_ + k];
       size_t c = FindOrAddCandidate(l, r, [&] {
         PlanNode* node = arena_->New();
         node->op = op;
@@ -529,17 +267,16 @@ class PlanGridSearch {
         node->output_width_bytes = cards_.RowWidth(mask);
         return node;
       });
-      ConsiderOne(entry, k, cand_nodes_[c], cand_costs_[c * k_ + k]);
+      ConsiderOne(mask * k_ + k, cand_nodes_[c], cand_costs_[c * k_ + k]);
     }
   }
 
-  void ConsiderIndexJoin(GridEntry* entry, const GridEntry& lefts,
-                         int inner_rel, double per_probe_rows, IndexId idx,
-                         RelMask mask) {
+  void ConsiderIndexJoin(RelMask mask, RelMask left, int inner_rel,
+                         double per_probe_rows, IndexId idx) {
     const PlanNode* inner = InnerScan(inner_rel);
     ResetCandidates();
     for (size_t k = 0; k < k_; ++k) {
-      const PlanNode* l = lefts.plan[k];
+      const PlanNode* l = best_plan_[left * k_ + k];
       size_t c = FindOrAddCandidate(l, inner, [&] {
         PlanNode* node = arena_->New();
         node->op = PlanOp::kIndexNestLoopJoin;
@@ -551,40 +288,42 @@ class PlanGridSearch {
         node->output_width_bytes = cards_.RowWidth(mask);
         return node;
       });
-      ConsiderOne(entry, k, cand_nodes_[c], cand_costs_[c * k_ + k]);
+      ConsiderOne(mask * k_ + k, cand_nodes_[c], cand_costs_[c * k_ + k]);
     }
   }
 
   // --- enumeration stages ---------------------------------------------------
 
-  GridEntry BuildJoinTree() {
+  /// Fills the best tables for every connected subset and leaves the full
+  /// join's per-member plans in roots_.
+  void BuildJoinTree() {
     const int n = cards_.num_relations();
     VDBA_CHECK_LE(n, kMaxRelations);
     const RelMask all = static_cast<RelMask>((1u << n) - 1u);
-    std::vector<GridEntry> best(all + 1);
+    best_plan_.assign((all + 1) * k_, nullptr);
+    best_cost_.assign((all + 1) * k_, 0.0);
+    best_sort_.assign((all + 1) * k_, nullptr);
     inner_scans_.assign(static_cast<size_t>(n), nullptr);
 
-    for (int i = 0; i < n; ++i) {
-      best[1u << i] = ScanEntry(i);
-    }
-    if (n == 1) return std::move(best[1]);
+    for (int i = 0; i < n; ++i) PlanScan(i);
 
+    // A subset has plans once its first member's cell is set: every
+    // member's cell of a connected subset is filled (checked below).
+    auto present = [&](RelMask m) { return best_plan_[m * k_] != nullptr; };
     for (RelMask mask = 1; mask <= all; ++mask) {
       if (std::popcount(mask) < 2) continue;
       if (!cards_.Connected(mask)) continue;
-      GridEntry& entry = best[mask];
-      entry.Init(k_);
       for (RelMask left = (mask - 1) & mask; left != 0;
            left = (left - 1) & mask) {
         RelMask right = mask & ~left;
         if (right == 0) continue;
-        if (!best[left].Present() || !best[right].Present()) continue;
+        if (!present(left) || !present(right)) continue;
         if (!HasCrossEdge(query_, left, right)) continue;
 
-        ConsiderJoin(&entry, PlanOp::kHashJoin, best[left], best[right], mask,
+        ConsiderJoin(mask, PlanOp::kHashJoin, left, right,
                      /*sort_inputs=*/false);
-        ConsiderJoin(&entry, PlanOp::kMergeJoin, best[left], best[right],
-                     mask, /*sort_inputs=*/true);
+        ConsiderJoin(mask, PlanOp::kMergeJoin, left, right,
+                     /*sort_inputs=*/true);
         if (std::popcount(right) == 1) {
           int inner_rel = std::countr_zero(right);
           double per_probe = 0.0;
@@ -593,31 +332,28 @@ class PlanGridSearch {
           if (InnerJoinInfo(catalog_, query_, cards_, left, inner_rel,
                             &per_probe, &index_usable, &idx)) {
             if (index_usable) {
-              ConsiderIndexJoin(&entry, best[left], inner_rel, per_probe, idx,
-                                mask);
+              ConsiderIndexJoin(mask, left, inner_rel, per_probe, idx);
             }
-            ConsiderJoin(&entry, PlanOp::kNestLoopJoin, best[left],
-                         best[right], mask, /*sort_inputs=*/false);
+            ConsiderJoin(mask, PlanOp::kNestLoopJoin, left, right,
+                         /*sort_inputs=*/false);
           }
         }
       }
       for (size_t k = 0; k < k_; ++k) {
-        VDBA_CHECK_MSG(entry.plan[k] != nullptr,
+        VDBA_CHECK_MSG(best_plan_[mask * k_ + k] != nullptr,
                        "no join candidate for connected mask (query %s)",
                        query_.name.c_str());
       }
     }
-    VDBA_CHECK(best[all].Present());
-    return std::move(best[all]);
+    VDBA_CHECK_MSG(present(all), "disconnected join graph in query %s",
+                   query_.name.c_str());
+    roots_.assign(best_plan_.begin() + all * k_,
+                  best_plan_.begin() + (all + 1) * k_);
   }
 
-  void AddAggregate(std::vector<const PlanNode*>* roots) {
+  void AddAggregate() {
     const AggregateSpec& agg = query_.aggregate;
     if (agg.kind == AggregateKind::kNone) return;
-
-    std::vector<const PlanNode*> uniq;
-    std::vector<size_t> which;
-    Distinct(*roots, &uniq, &which);
 
     auto make_agg = [&](PlanOp op, double groups, const PlanNode* input) {
       PlanNode* node = arena_->New();
@@ -632,44 +368,36 @@ class PlanGridSearch {
       return node;
     };
 
-    std::vector<const PlanNode*> hash_nodes(uniq.size());
-    std::vector<const PlanNode*> sort_nodes(uniq.size(), nullptr);
-    std::vector<double> hash_costs(uniq.size() * k_, 0.0);
-    std::vector<double> sort_costs(uniq.size() * k_, 0.0);
-    for (size_t u = 0; u < uniq.size(); ++u) {
-      const PlanNode* child = uniq[u];
+    Distinct(roots_);
+    for (size_t u = 0; u < uniq_.size(); ++u) {
+      const PlanNode* child = uniq_[u];
       double groups = agg.kind == AggregateKind::kScalar
                           ? 1.0
                           : std::min(agg.num_groups, child->output_rows);
-      hash_nodes[u] = make_agg(PlanOp::kHashAggregate, groups, child);
-      if (agg.kind == AggregateKind::kScalar) continue;
-      sort_nodes[u] =
-          make_agg(PlanOp::kSortAggregate, groups, SortOf(child));
-      Activity hash_act =
-          ComputeActivity(catalog_, *hash_nodes[u], mem_, nullptr);
-      pricer_->Price(hash_act,
-                     std::span<double>(hash_costs.data() + u * k_, k_));
-      Activity sort_act =
-          ComputeActivity(catalog_, *sort_nodes[u], mem_, nullptr);
-      pricer_->Price(sort_act,
-                     std::span<double>(sort_costs.data() + u * k_, k_));
-    }
-    for (size_t k = 0; k < k_; ++k) {
-      size_t u = which[k];
-      if (agg.kind == AggregateKind::kScalar) {
-        (*roots)[k] = hash_nodes[u];
-      } else {
-        // PlanSearch::AddAggregate keeps the hash aggregate on <=.
-        (*roots)[k] = hash_costs[u * k_ + k] <= sort_costs[u * k_ + k]
-                          ? hash_nodes[u]
-                          : sort_nodes[u];
+      const PlanNode* hash_agg =
+          make_agg(PlanOp::kHashAggregate, groups, child);
+      const PlanNode* sort_agg = nullptr;
+      if (agg.kind != AggregateKind::kScalar) {
+        sort_agg = make_agg(PlanOp::kSortAggregate, groups, NewSort(child));
+        pricer_->Price(ComputeActivity(catalog_, *hash_agg, mem_, nullptr),
+                       row_);
+        pricer_->Price(ComputeActivity(catalog_, *sort_agg, mem_, nullptr),
+                       row2_);
+      }
+      for (size_t k = 0; k < k_; ++k) {
+        if (which_[k] != u) continue;
+        // The hash aggregate wins ties (<=).
+        roots_[k] =
+            sort_agg == nullptr || row_[k] <= row2_[k] ? hash_agg : sort_agg;
       }
     }
   }
 
-  void AddOrderBy(std::vector<const PlanNode*>* roots) {
+  void AddOrderBy() {
     if (!query_.order_by.required) return;
-    ForEachDistinctChild(roots, [&](const PlanNode* child) {
+    // Sorting already-sorted output of a SortAggregate is free in practice;
+    // the optimizer still places the node (its cost is tiny for few rows).
+    WrapRoots([&](const PlanNode* child) {
       PlanNode* node = arena_->New();
       node->op = PlanOp::kSort;
       node->output_rows = child->output_rows;
@@ -679,9 +407,9 @@ class PlanGridSearch {
     });
   }
 
-  void AddUpdate(std::vector<const PlanNode*>* roots) {
+  void AddUpdate() {
     if (query_.update.rows_modified <= 0.0) return;
-    ForEachDistinctChild(roots, [&](const PlanNode* child) {
+    WrapRoots([&](const PlanNode* child) {
       PlanNode* node = arena_->New();
       node->op = PlanOp::kUpdate;
       node->update = query_.update;
@@ -692,8 +420,8 @@ class PlanGridSearch {
     });
   }
 
-  void AddResult(std::vector<const PlanNode*>* roots) {
-    ForEachDistinctChild(roots, [&](const PlanNode* child) {
+  void AddResult() {
+    WrapRoots([&](const PlanNode* child) {
       PlanNode* node = arena_->New();
       node->op = PlanOp::kResult;
       node->limit_rows = query_.limit_rows;
@@ -710,23 +438,16 @@ class PlanGridSearch {
     });
   }
 
-  /// Replaces every root by wrap(child), building one wrapper per distinct
-  /// child (wrappers have no per-member choice of their own).
+  /// Replaces every root by wrap(root), building one wrapper per distinct
+  /// root (wrappers have no per-member choice of their own).
   template <typename WrapFn>
-  void ForEachDistinctChild(std::vector<const PlanNode*>* roots,
-                            WrapFn&& wrap) {
-    std::vector<const PlanNode*> uniq;
-    std::vector<size_t> which;
-    Distinct(*roots, &uniq, &which);
-    std::vector<const PlanNode*> wrapped(uniq.size());
-    for (size_t u = 0; u < uniq.size(); ++u) wrapped[u] = wrap(uniq[u]);
-    for (size_t k = 0; k < roots->size(); ++k) {
-      (*roots)[k] = wrapped[which[k]];
-    }
+  void WrapRoots(WrapFn&& wrap) {
+    Distinct(roots_);
+    for (const PlanNode*& u : uniq_) u = wrap(u);
+    for (size_t k = 0; k < k_; ++k) roots_[k] = uniq_[which_[k]];
   }
 
   const Catalog& catalog_;
-  const CostModel& model_;
   const QuerySpec& query_;
   CardinalityModel cards_;
   MemoryContext mem_;
@@ -736,9 +457,20 @@ class PlanGridSearch {
   std::vector<double> row_;           ///< Pricing scratch (size k_).
   std::vector<double> row2_;
 
-  /// Sort-above-child memo: Sort fields derive from the child alone, so
-  /// one node serves every split / member that sorts the same subplan.
-  std::unordered_map<const PlanNode*, const PlanNode*> sort_memo_;
+  /// Per-member DP tables, flat over (relation subset, member): cell
+  /// mask * k_ + k holds member k's best plan and its cost for `mask`
+  /// (nullptr while the subset has none), and the Sort above that plan
+  /// once a merge join has asked for it (SortedBest).
+  std::vector<const PlanNode*> best_plan_;
+  std::vector<double> best_cost_;
+  std::vector<const PlanNode*> best_sort_;
+  /// Per-member plan of the stage being built (size k_).
+  std::vector<const PlanNode*> roots_;
+  /// Distinct-plan scratch shared by the stages: uniq_ in first-seen
+  /// order, which_[k] = member k's index into uniq_.
+  std::vector<const PlanNode*> uniq_;
+  std::vector<size_t> which_;
+
   /// Per-relation force-seq inner scans (member-independent).
   std::vector<const PlanNode*> inner_scans_;
 
@@ -759,45 +491,51 @@ bool SameContext(const MemoryContext& a, const MemoryContext& b) {
 
 OptimizeResult Optimizer::Optimize(const QuerySpec& query,
                                    const EngineParams& params) const {
-  VDBA_CHECK_EQ(static_cast<int>(ParamsFlavor(params)),
-                static_cast<int>(cost_model_.flavor()));
-  PlanSearch search(catalog_, cost_model_, query, params);
-  return search.Run();
+  return std::move(OptimizeGrid(query, {&params, 1})[0]);
 }
 
 std::vector<OptimizeResult> Optimizer::OptimizeGrid(
     const QuerySpec& query, std::span<const EngineParams> params) const {
-  std::vector<OptimizeResult> results(params.size());
-  if (params.empty()) return results;
+  if (params.empty()) return {};
 
   // Group members by estimation MemoryContext: the DP's spill/residency
   // decisions depend only on it, so members of a group share one
   // enumeration (and members differing only in cpu/io/net parameters all
   // land in the same group — the common what-if sweep shape).
   std::vector<MemoryContext> contexts;
-  std::vector<std::vector<size_t>> groups;
+  std::vector<size_t> group_of(params.size());
   for (size_t i = 0; i < params.size(); ++i) {
     VDBA_CHECK_EQ(static_cast<int>(ParamsFlavor(params[i])),
                   static_cast<int>(cost_model_.flavor()));
     MemoryContext mem = cost_model_.EstimationContext(params[i]);
     size_t g = 0;
     while (g < contexts.size() && !SameContext(contexts[g], mem)) ++g;
-    if (g == contexts.size()) {
-      contexts.push_back(mem);
-      groups.emplace_back();
-    }
-    groups[g].push_back(i);
+    if (g == contexts.size()) contexts.push_back(mem);
+    group_of[i] = g;
+  }
+  // One group (always so for a single member): the batch is the group.
+  if (contexts.size() == 1) {
+    return PlanGridSearch(catalog_, cost_model_, query, params, contexts[0])
+        .Run();
   }
 
-  for (size_t g = 0; g < groups.size(); ++g) {
-    std::vector<EngineParams> group_params;
-    group_params.reserve(groups[g].size());
-    for (size_t i : groups[g]) group_params.push_back(params[i]);
-    PlanGridSearch search(catalog_, cost_model_, query, group_params,
-                          contexts[g]);
-    std::vector<OptimizeResult> group_results = search.Run();
-    for (size_t j = 0; j < groups[g].size(); ++j) {
-      results[groups[g][j]] = std::move(group_results[j]);
+  std::vector<OptimizeResult> results(params.size());
+  std::vector<EngineParams> group_params;
+  std::vector<size_t> members;
+  for (size_t g = 0; g < contexts.size(); ++g) {
+    group_params.clear();
+    members.clear();
+    for (size_t i = 0; i < params.size(); ++i) {
+      if (group_of[i] != g) continue;
+      group_params.push_back(params[i]);
+      members.push_back(i);
+    }
+    std::vector<OptimizeResult> group_results =
+        PlanGridSearch(catalog_, cost_model_, query, group_params,
+                       contexts[g])
+            .Run();
+    for (size_t j = 0; j < members.size(); ++j) {
+      results[members[j]] = std::move(group_results[j]);
     }
   }
   return results;

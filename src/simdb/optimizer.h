@@ -8,12 +8,14 @@
 // parameters for a hypothetical resource allocation is the paper's
 // "what-if mode" (§4.1).
 //
-// OptimizeGrid() is the batched what-if kernel: it runs the SAME
-// enumeration once per group of parameter vectors that share a memory
-// context, keeping per-member best tables side by side (struct-of-arrays),
-// walking each candidate plan's activity once, and pricing the whole batch
-// through CostModel::MakeBatchPricer. Results are bit-identical to calling
-// Optimize() per member.
+// There is one search, OptimizeGrid(): it runs the enumeration once per
+// group of parameter vectors that share a memory context, keeping
+// per-member best tables side by side (struct-of-arrays), walking each
+// candidate plan's activity once, and pricing the whole batch through
+// CostModel::MakeBatchPricer. Optimize() is a one-member OptimizeGrid().
+// Every member's result is bit-identical to a scalar search run for its
+// vector alone; tests/plan_search_oracle.h keeps that search as the test
+// oracle.
 #ifndef VDBA_SIMDB_OPTIMIZER_H_
 #define VDBA_SIMDB_OPTIMIZER_H_
 
@@ -48,15 +50,18 @@ class Optimizer {
       : catalog_(catalog), cost_model_(cost_model) {}
 
   /// Optimizes `query` under `params` ("what-if" when params describe a
-  /// hypothetical allocation). Deterministic.
+  /// hypothetical allocation): OptimizeGrid over the one vector.
+  /// Deterministic. Batch probes instead where there are several: a call
+  /// carries the grid search's fixed setup cost.
   OptimizeResult Optimize(const QuerySpec& query,
                           const EngineParams& params) const;
 
   /// Batched what-if: optimizes `query` under every parameter vector of
   /// `params` in one pass per memory-context group. The returned vector is
-  /// index-aligned with `params` and every member is bit-identical (plan
-  /// choice, native_cost, signature, activity) to Optimize(query,
-  /// params[k]). Plans of one group alias a shared arena.
+  /// index-aligned with `params`; each member's plan choice, native_cost,
+  /// signature and activity are bit-identical to a search for that vector
+  /// alone, whatever the rest of the batch holds. Plans of one group alias
+  /// the group's search arena.
   std::vector<OptimizeResult> OptimizeGrid(
       const QuerySpec& query, std::span<const EngineParams> params) const;
 

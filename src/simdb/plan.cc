@@ -349,13 +349,6 @@ Activity& Activity::operator+=(const Activity& other) {
   return *this;
 }
 
-const PlanNode* ClonePlan(const PlanNode& root, PlanArena* arena) {
-  PlanNode* copy = arena->New(root);
-  if (root.left != nullptr) copy->left = ClonePlan(*root.left, arena);
-  if (root.right != nullptr) copy->right = ClonePlan(*root.right, arena);
-  return copy;
-}
-
 PlanPtr AdoptPlan(std::shared_ptr<PlanArena> arena, const PlanNode* root) {
   return PlanPtr(std::move(arena), root);
 }

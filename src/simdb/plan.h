@@ -12,7 +12,9 @@
 // point at children with plain pointers; a returned plan keeps its whole
 // arena alive through one shared_ptr at the root (AdoptPlan), so readers —
 // optimizer, executor, cost models — traverse raw pointers with no
-// per-node reference counting.
+// per-node reference counting. The optimizer's plans alias its search
+// arena as is (every candidate node of the search included); nothing
+// copies a winning tree out.
 #ifndef VDBA_SIMDB_PLAN_H_
 #define VDBA_SIMDB_PLAN_H_
 
@@ -105,9 +107,6 @@ class PlanArena {
  private:
   util::StructPool<PlanNode> pool_;
 };
-
-/// Deep-copies the tree under `root` into `arena`; returns the new root.
-const PlanNode* ClonePlan(const PlanNode& root, PlanArena* arena);
 
 /// Owning root handle: keeps `arena` alive for as long as any copy of the
 /// returned PlanPtr exists. `root` must be owned by `arena`.

@@ -1,13 +1,16 @@
-// OptimizeGrid must be a bit-identical drop-in for per-member Optimize:
-// same plan signatures, same native costs (exact double equality), same
-// activities — for both cost-model flavors, across parameter grids that
-// mix memory-context groups.
+// One plan search, two entry points: every OptimizeGrid member and every
+// Optimize result must equal the scalar DP in tests/plan_search_oracle.h
+// bit for bit (plan signature, native cost with exact double equality,
+// every activity field), for both cost-model flavors, across parameter
+// grids that mix memory-context groups.
 #include "simdb/optimizer.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "plan_search_oracle.h"
 #include "simdb/cost_model_db2.h"
 #include "simdb/cost_model_pg.h"
 #include "simdb/engine.h"
@@ -55,23 +58,45 @@ std::vector<EngineParams> Db2Sweep() {
   return sweep;
 }
 
-void ExpectIdentical(const OptimizeResult& grid, const OptimizeResult& seq,
+void ExpectIdentical(const OptimizeResult& got, const OptimizeResult& want,
                      const char* ctx, size_t k) {
-  // Exact equality on purpose: the grid contract is bit-identity, not
+  // Exact equality on purpose: the contract is bit-identity, not
   // tolerance. Signatures pin the plan choice; activity fields pin the
   // shared walk; native_cost pins the batch pricer.
-  EXPECT_EQ(grid.signature, seq.signature) << ctx << " member " << k;
-  EXPECT_EQ(grid.native_cost, seq.native_cost) << ctx << " member " << k;
-  EXPECT_EQ(grid.activity.seq_pages, seq.activity.seq_pages) << ctx << k;
-  EXPECT_EQ(grid.activity.rand_pages, seq.activity.rand_pages) << ctx << k;
-  EXPECT_EQ(grid.activity.spill_pages, seq.activity.spill_pages) << ctx << k;
-  EXPECT_EQ(grid.activity.write_pages, seq.activity.write_pages) << ctx << k;
-  EXPECT_EQ(grid.activity.tuples, seq.activity.tuples) << ctx << k;
-  EXPECT_EQ(grid.activity.op_evals, seq.activity.op_evals) << ctx << k;
-  EXPECT_EQ(grid.activity.index_tuples, seq.activity.index_tuples)
-      << ctx << k;
-  EXPECT_EQ(grid.activity.net_pages, seq.activity.net_pages) << ctx << k;
-  ASSERT_NE(grid.plan, nullptr) << ctx << k;
+  EXPECT_EQ(got.signature, want.signature) << ctx << " member " << k;
+  EXPECT_EQ(got.native_cost, want.native_cost) << ctx << " member " << k;
+  const Activity& a = got.activity;
+  const Activity& b = want.activity;
+  EXPECT_EQ(a.seq_pages, b.seq_pages) << ctx << " member " << k;
+  EXPECT_EQ(a.rand_pages, b.rand_pages) << ctx << " member " << k;
+  EXPECT_EQ(a.spill_pages, b.spill_pages) << ctx << " member " << k;
+  EXPECT_EQ(a.write_pages, b.write_pages) << ctx << " member " << k;
+  EXPECT_EQ(a.log_bytes, b.log_bytes) << ctx << " member " << k;
+  EXPECT_EQ(a.tuples, b.tuples) << ctx << " member " << k;
+  EXPECT_EQ(a.op_evals, b.op_evals) << ctx << " member " << k;
+  EXPECT_EQ(a.index_tuples, b.index_tuples) << ctx << " member " << k;
+  EXPECT_EQ(a.rows_returned, b.rows_returned) << ctx << " member " << k;
+  EXPECT_EQ(a.update_rows, b.update_rows) << ctx << " member " << k;
+  EXPECT_EQ(a.net_pages, b.net_pages) << ctx << " member " << k;
+  ASSERT_NE(got.plan, nullptr) << ctx << " member " << k;
+}
+
+/// The returned plan is the one the result describes: re-walking it under
+/// the member's estimation context reproduces the signature.
+void ExpectPlanMatchesSignature(const Optimizer& opt,
+                                const OptimizeResult& res,
+                                const EngineParams& params, const char* ctx,
+                                size_t k) {
+  ASSERT_NE(res.plan, nullptr) << ctx << " member " << k;
+  std::string signature;
+  ComputeActivity(opt.catalog(), *res.plan,
+                  opt.cost_model().EstimationContext(params), &signature);
+  EXPECT_EQ(signature, res.signature) << ctx << " member " << k;
+}
+
+OptimizeResult Oracle(const Optimizer& opt, const QuerySpec& q,
+                      const EngineParams& params) {
+  return oracle::ScalarOptimize(opt.catalog(), opt.cost_model(), q, params);
 }
 
 class OptimizeGridTest : public ::testing::Test {
@@ -87,8 +112,12 @@ class OptimizeGridTest : public ::testing::Test {
       std::vector<OptimizeResult> grid = opt.OptimizeGrid(q, sweep);
       ASSERT_EQ(grid.size(), sweep.size()) << ctx << " " << q.name;
       for (size_t k = 0; k < sweep.size(); ++k) {
-        OptimizeResult seq = opt.Optimize(q, sweep[k]);
-        ExpectIdentical(grid[k], seq, ctx, k);
+        const OptimizeResult want = Oracle(opt, q, sweep[k]);
+        ExpectIdentical(grid[k], want, ctx, k);
+        ExpectPlanMatchesSignature(opt, grid[k], sweep[k], ctx, k);
+        const OptimizeResult single = opt.Optimize(q, sweep[k]);
+        ExpectIdentical(single, want, ctx, k);
+        ExpectPlanMatchesSignature(opt, single, sweep[k], ctx, k);
       }
     }
   }
@@ -114,7 +143,9 @@ TEST_F(OptimizeGridTest, SingleMemberGridEqualsScalar) {
   std::vector<EngineParams> one = {Db2Params{}};
   std::vector<OptimizeResult> grid = opt.OptimizeGrid(q, one);
   ASSERT_EQ(grid.size(), 1u);
-  ExpectIdentical(grid[0], opt.Optimize(q, one[0]), "single", 0);
+  const OptimizeResult want = Oracle(opt, q, one[0]);
+  ExpectIdentical(grid[0], want, "single", 0);
+  ExpectIdentical(opt.Optimize(q, one[0]), want, "single", 0);
 }
 
 TEST_F(OptimizeGridTest, EmptyGridReturnsEmpty) {

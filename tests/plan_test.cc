@@ -220,34 +220,32 @@ TEST(PlanActivityTest, WorkingSetCountsDistinctTables) {
   EXPECT_NEAR(ws, cat.table(0).Pages() * kPageSizeBytes, 1.0);
 }
 
-TEST(PlanCloneTest, ClonePreservesStructureAndAdoptKeepsArenaAlive) {
+TEST(PlanAdoptTest, AdoptKeepsArenaAlive) {
   Catalog cat = MakeCatalog();
-  PlanArena scratch;
-  PlanNode* join = scratch.New();
-  join->op = PlanOp::kHashJoin;
-  join->left = MakeScan(&scratch, cat, 0, 0.5, 2);
-  join->right = MakeScan(&scratch, cat, 1);
-  join->output_rows = 1000;
-  join->output_width_bytes = 75;
-
   MemoryContext mem = BigBuffer();
   std::string sig_orig;
-  Activity orig = ComputeActivity(cat, *join, mem, &sig_orig);
-
+  Activity orig;
   PlanPtr adopted;
   {
-    auto owner = std::make_shared<PlanArena>();
-    const PlanNode* root = ClonePlan(*join, owner.get());
-    EXPECT_EQ(owner->size(), 3u);  // join + 2 scans, nothing extra
-    adopted = AdoptPlan(std::move(owner), root);
+    auto scratch = std::make_shared<PlanArena>();
+    PlanNode* join = scratch->New();
+    join->op = PlanOp::kHashJoin;
+    join->left = MakeScan(scratch.get(), cat, 0, 0.5, 2);
+    join->right = MakeScan(scratch.get(), cat, 1);
+    join->output_rows = 1000;
+    join->output_width_bytes = 75;
+    orig = ComputeActivity(cat, *join, mem, &sig_orig);
+    adopted = AdoptPlan(std::move(scratch), join);
   }
-  // The scratch arena is irrelevant now; the adopted plan owns its nodes.
-  std::string sig_clone;
-  Activity clone = ComputeActivity(cat, *adopted, mem, &sig_clone);
-  EXPECT_EQ(sig_orig, sig_clone);
-  EXPECT_EQ(orig.seq_pages, clone.seq_pages);
-  EXPECT_EQ(orig.tuples, clone.tuples);
-  EXPECT_EQ(orig.op_evals, clone.op_evals);
+  // Every other owner of the arena is gone: the adopted root alone keeps
+  // its nodes alive through the walk.
+  EXPECT_EQ(adopted.use_count(), 1);
+  std::string sig_adopted;
+  Activity walked = ComputeActivity(cat, *adopted, mem, &sig_adopted);
+  EXPECT_EQ(sig_orig, sig_adopted);
+  EXPECT_EQ(orig.seq_pages, walked.seq_pages);
+  EXPECT_EQ(orig.tuples, walked.tuples);
+  EXPECT_EQ(orig.op_evals, walked.op_evals);
 }
 
 }  // namespace
