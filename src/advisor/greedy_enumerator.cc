@@ -188,16 +188,34 @@ EnumerationResult GreedyEnumerator::Run(
   // resources toward violating workloads, taking delta from the donor that
   // suffers least (and stays within its own limit), until every limit
   // holds or no legal move remains. Moves use each dimension's finest
-  // step so restoration agrees with the annealed search grid.
+  // step so restoration agrees with the annealed search grid. The current
+  // unweighted costs come from one EstimateMany up front (cache hits on a
+  // caching estimator: the warm-up or a frontier priced every current
+  // allocation) and are carried across moves. Each round prices its
+  // candidate moves in one EstimateMany: per allocated dimension where the
+  // violator can rise by the finest step, its raise and then each donor's
+  // cut, in scan order, so misses reach the estimator in the order the
+  // scan reads them.
+  struct RestoreMove {
+    int dim;
+    int donor;  ///< -1: the violator's raise in `dim`.
+  };
+  std::vector<TenantAllocation> current;
+  current.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    current.push_back(
+        TenantAllocation{i, result.allocations[static_cast<size_t>(i)]});
+  }
+  std::vector<double> now = estimator->EstimateMany(current);
+  std::vector<TenantAllocation> probes;
+  std::vector<RestoreMove> probe_moves;
   for (int guard = 0; guard < options_.max_iterations; ++guard) {
     int violator = -1;
     double worst = 1.0 + 1e-9;
     for (int i = 0; i < n; ++i) {
       const QosSpec& q = qos[static_cast<size_t>(i)];
       if (!q.Constrained()) continue;
-      double unweighted =
-          estimator->EstimateSeconds(i, result.allocations[static_cast<size_t>(i)]);
-      double ratio = unweighted /
+      double ratio = now[static_cast<size_t>(i)] /
                      (q.degradation_limit * full_cost[static_cast<size_t>(i)]);
       if (ratio > worst) {
         worst = ratio;
@@ -206,36 +224,51 @@ EnumerationResult GreedyEnumerator::Run(
     }
     if (violator < 0) break;
 
-    // Best (dim, donor): the violator's largest gain against the donor's
-    // smallest loss.
-    int best_dim = -1, best_donor = -1;
-    double best_score = -std::numeric_limits<double>::infinity();
     const simvm::ResourceVector& rv =
         result.allocations[static_cast<size_t>(violator)];
+    probes.clear();
+    probe_moves.clear();
     for (int dim = 0; dim < dims; ++dim) {
       if (!options_.Allocates(dim)) continue;
       const double delta = options_.FinestDelta(dim);
       if (!CanRaise(rv, dim, delta)) continue;
-      simvm::ResourceVector up = Raised(rv, dim, delta);
-      double gain = estimator->EstimateSeconds(violator, rv) -
-                    estimator->EstimateSeconds(violator, up);
+      probes.push_back(TenantAllocation{violator, Raised(rv, dim, delta)});
+      probe_moves.push_back(RestoreMove{dim, -1});
       for (int i = 0; i < n; ++i) {
         if (i == violator) continue;
         const simvm::ResourceVector& ri =
             result.allocations[static_cast<size_t>(i)];
         if (!CanLower(ri, dim, delta, options_.min_share)) continue;
-        simvm::ResourceVector down = Lowered(ri, dim, delta);
-        double donor_cost = estimator->EstimateSeconds(i, down);
-        if (!satisfies_limit(i, donor_cost)) continue;
-        double loss = donor_cost - estimator->EstimateSeconds(i, ri);
-        if (gain - loss > best_score) {
-          best_score = gain - loss;
-          best_dim = dim;
-          best_donor = i;
-        }
+        probes.push_back(TenantAllocation{i, Lowered(ri, dim, delta)});
+        probe_moves.push_back(RestoreMove{dim, i});
       }
     }
-    if (best_dim < 0) break;  // no legal move; violations stand
+    if (probes.empty()) break;  // no legal move; violations stand
+    const std::vector<double> ests = estimator->EstimateMany(probes);
+
+    // Best (dim, donor): the violator's largest gain against the donor's
+    // smallest loss; the first candidate wins ties. probes[0] is a raise,
+    // so best_cut == 0 means no donor qualified.
+    size_t raise = 0, best_raise = 0, best_cut = 0;
+    double best_score = -std::numeric_limits<double>::infinity();
+    for (size_t p = 0; p < probes.size(); ++p) {
+      const int donor = probe_moves[p].donor;
+      if (donor < 0) {
+        raise = p;
+        continue;
+      }
+      if (!satisfies_limit(donor, ests[p])) continue;
+      const double gain = now[static_cast<size_t>(violator)] - ests[raise];
+      const double loss = ests[p] - now[static_cast<size_t>(donor)];
+      if (gain - loss > best_score) {
+        best_score = gain - loss;
+        best_raise = raise;
+        best_cut = p;
+      }
+    }
+    if (best_cut == 0) break;  // no legal move; violations stand
+    const int best_dim = probe_moves[best_cut].dim;
+    const int best_donor = probe_moves[best_cut].donor;
     const double delta = options_.FinestDelta(best_dim);
     simvm::ResourceVector& gain_r =
         result.allocations[static_cast<size_t>(violator)];
@@ -243,6 +276,8 @@ EnumerationResult GreedyEnumerator::Run(
         result.allocations[static_cast<size_t>(best_donor)];
     gain_r = Raised(gain_r, best_dim, delta);
     lose_r = Lowered(lose_r, best_dim, delta);
+    now[static_cast<size_t>(violator)] = ests[best_raise];
+    now[static_cast<size_t>(best_donor)] = ests[best_cut];
     ++result.iterations;
   }
 

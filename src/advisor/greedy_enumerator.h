@@ -11,7 +11,10 @@
 // so a parallel estimator fans every tenant's probes out at once instead
 // of tenant-by-tenant. Per-dimension delta schedules (EnumeratorOptions::
 // deltas) anneal the step size coarse-to-fine once the coarse frontier has
-// no improving move.
+// no improving move. Feasibility restoration, which afterwards pushes
+// share toward tenants still over their QoS limit, batches the same way:
+// each round reads the current costs in one EstimateMany and prices its
+// candidate moves in one more. Run never calls EstimateSeconds.
 #ifndef VDBA_ADVISOR_GREEDY_ENUMERATOR_H_
 #define VDBA_ADVISOR_GREEDY_ENUMERATOR_H_
 

@@ -68,8 +68,10 @@ struct SearchSpec {
 /// deterministic: identical (estimator state, qos, initial) inputs yield
 /// identical results. Route every estimate through
 /// CostEstimator::EstimateMany / EstimateBatch (or EstimatorObjective) so
-/// parallel estimators can fan probes out; never call EstimateSeconds in
-/// a loop.
+/// parallel estimators can fan probes out, cache hits included; never call
+/// EstimateSeconds. On a what-if estimator each scalar miss is a
+/// one-member OptimizeGrid per statement, which pays the search's fixed
+/// setup cost that a batch shares.
 class SearchStrategy {
  public:
   virtual ~SearchStrategy() = default;

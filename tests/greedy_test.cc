@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "util/piecewise.h"
 
@@ -124,6 +126,67 @@ TEST(GreedyTest, ImpossibleLimitReportedAsViolated) {
   GreedyEnumerator greedy;
   auto res = greedy.Run(&est, {impossible, impossible});
   EXPECT_EQ(res.violated_qos.size(), 2u);
+}
+
+/// SyntheticEstimator that prices batches itself and counts the
+/// EstimateSeconds calls made from outside a batch.
+class BatchOnlyEstimator : public SyntheticEstimator {
+ public:
+  using SyntheticEstimator::SyntheticEstimator;
+
+  double EstimateSeconds(int tenant, const simvm::ResourceVector& r) override {
+    ++outside_calls_;
+    return SyntheticEstimator::EstimateSeconds(tenant, r);
+  }
+  std::vector<double> EstimateMany(
+      std::span<const TenantAllocation> batch) override {
+    std::vector<double> out;
+    out.reserve(batch.size());
+    for (const TenantAllocation& item : batch) {
+      out.push_back(SyntheticEstimator::EstimateSeconds(item.tenant, item.r));
+    }
+    return out;
+  }
+  long outside_calls() const { return outside_calls_; }
+
+ private:
+  long outside_calls_ = 0;
+};
+
+TEST(GreedyTest, RestorationPricesOnlyThroughEstimateMany) {
+  // An unattainable limit (as in ImpossibleLimitReportedAsViolated) sends
+  // greedy into feasibility restoration; a limit the equal split breaks
+  // but a transfer can meet makes restoration move share. Either way
+  // every probe must arrive in a batch, and the result must equal the
+  // scalar-answering estimator's.
+  QosSpec impossible;
+  impossible.degradation_limit = 1.0;
+  QosSpec tight;
+  tight.degradation_limit = 1.5;  // tenant 1: 12 at the equal split vs 6
+  const std::vector<std::vector<QosSpec>> cases = {
+      {impossible, impossible}, {QosSpec{}, tight}};
+  GreedyEnumerator greedy;
+  for (const std::vector<QosSpec>& qos : cases) {
+    SyntheticEstimator scalar({40, 5}, {1, 1}, {0, 0});
+    BatchOnlyEstimator batched({40, 5}, {1, 1}, {0, 0});
+    EnumerationResult want = greedy.Run(&scalar, qos);
+    EnumerationResult got = greedy.Run(&batched, qos);
+    EXPECT_EQ(batched.outside_calls(), 0);
+    EXPECT_EQ(got.violated_qos, want.violated_qos);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.tenant_costs, want.tenant_costs);
+    for (size_t i = 0; i < qos.size(); ++i) {
+      EXPECT_EQ(got.allocations[i].cpu_share(),
+                want.allocations[i].cpu_share());
+      EXPECT_EQ(got.allocations[i].mem_share(),
+                want.allocations[i].mem_share());
+    }
+  }
+  SyntheticEstimator est({40, 5}, {1, 1}, {0, 0});
+  EXPECT_EQ(greedy.Run(&est, cases[0]).violated_qos.size(), 2u);
+  EnumerationResult met = greedy.Run(&est, cases[1]);
+  EXPECT_TRUE(met.violated_qos.empty());
+  EXPECT_LE(met.tenant_costs[1], 1.5 * est.EstimateSeconds(1, {1.0, 1.0}));
 }
 
 TEST(GreedyTest, GainFactorSkewsAllocation) {
