@@ -48,10 +48,13 @@ Recommendation VirtualizationDesignAdvisor::Recommend(
 double VirtualizationDesignAdvisor::EstimateTotalSeconds(
     const std::vector<simvm::ResourceVector>& alloc) {
   VDBA_CHECK_EQ(static_cast<int>(alloc.size()), num_tenants());
-  double total = 0.0;
+  std::vector<TenantAllocation> batch;
+  batch.reserve(alloc.size());
   for (int i = 0; i < num_tenants(); ++i) {
-    total += estimator_->EstimateSeconds(i, alloc[static_cast<size_t>(i)]);
+    batch.push_back(TenantAllocation{i, alloc[static_cast<size_t>(i)]});
   }
+  double total = 0.0;
+  for (double seconds : estimator_->EstimateMany(batch)) total += seconds;
   return total;
 }
 

@@ -62,7 +62,8 @@ class VirtualizationDesignAdvisor {
   /// empty vector for the cold behaviour of Recommend().
   Recommendation Recommend(std::vector<simvm::ResourceVector> initial);
 
-  /// Estimated total seconds at an arbitrary allocation (for baselines).
+  /// Estimated total seconds at an arbitrary allocation (for baselines):
+  /// one EstimateMany over every tenant, summed in tenant order.
   double EstimateTotalSeconds(const std::vector<simvm::ResourceVector>& alloc);
 
   /// The strategy the options select (refinement and dynamic management

@@ -554,6 +554,13 @@ bool AdvisorService::TryMigrate(int src, int slot, int dst) {
   // dst, warm repair of both.
   RemoveTenant(src, slot);
   int dst_slot = InsertTenant(dst, dst_ms.machine.Bind(original), id, 0.0);
+  RepairMachine(src, DepartureSeeds(src_ms, src_ms.OccupiedSlots(), freed));
+  RepairMachine(dst,
+                ArrivalSeeds(dst_ms, dst_ms.OccupiedSlots(), dst_slot));
+  // The mover's full-machine demand, read after dst's repair has priced
+  // it (greedy's warm-up probes every tenant's full machine first), so
+  // the read is a cache hit. Load feeds only admission and the rollback
+  // below, and neither runs before this point.
   const int dst_dims = dst_ms.machine.hardware.resources->dims();
   const double demand_dst = dst_ms.estimator->EstimateSeconds(
       dst_slot, simvm::ResourceVector::Full(dst_dims));
@@ -562,9 +569,6 @@ bool AdvisorService::TryMigrate(int src, int slot, int dst) {
     dst_ms.slot_demand[static_cast<size_t>(dst_slot)] = demand_dst;
     dst_ms.load += demand_dst;
   }
-  RepairMachine(src, DepartureSeeds(src_ms, src_ms.OccupiedSlots(), freed));
-  RepairMachine(dst,
-                ArrivalSeeds(dst_ms, dst_ms.OccupiedSlots(), dst_slot));
 
   if (advisor::AcceptMove(old_pair, old_violations,
                           src_ms.cost + dst_ms.cost, violations())) {
@@ -730,16 +734,9 @@ void AdvisorService::HandleDriftRun(std::vector<Event>& batch) {
   // SetWorkload = targeted invalidation: only this tenant's cache entries
   // and observations drop; its machine-mates' stay warm.
   ms.estimator->SetWorkload(slot, std::move(last.workload));
-  const int dims = ms.machine.hardware.resources->dims();
-  const double demand = ms.estimator->EstimateSeconds(
-      slot, simvm::ResourceVector::Full(dims));
-  {
+  if (batch.size() > 1) {
     std::lock_guard lock(state_mu_);
-    ms.load += demand - ms.slot_demand[static_cast<size_t>(slot)];
-    ms.slot_demand[static_cast<size_t>(slot)] = demand;
-    if (batch.size() > 1) {
-      coalesced_drifts_ += static_cast<long>(batch.size()) - 1;
-    }
+    coalesced_drifts_ += static_cast<long>(batch.size()) - 1;
   }
 
   // Warm repair from the incumbent allocation itself: if the drift was a
@@ -749,6 +746,18 @@ void AdvisorService::HandleDriftRun(std::vector<Event>& batch) {
   seeds.reserve(slots.size());
   for (int s : slots) seeds.push_back(ms.slot_alloc[static_cast<size_t>(s)]);
   RepairMachine(m, std::move(seeds));
+  // The drifted workload's full-machine demand, read after the repair has
+  // priced it inside a batch (greedy's warm-up probes every tenant's full
+  // machine first), so the read is a cache hit. Load feeds only admission
+  // and migration rollback; neither runs before this point.
+  const int dims = ms.machine.hardware.resources->dims();
+  const double demand = ms.estimator->EstimateSeconds(
+      slot, simvm::ResourceVector::Full(dims));
+  {
+    std::lock_guard lock(state_mu_);
+    ms.load += demand - ms.slot_demand[static_cast<size_t>(slot)];
+    ms.slot_demand[static_cast<size_t>(slot)] = demand;
+  }
   outcome.migrations = MaybeMigrate(m);
 
   outcome.ok = true;
