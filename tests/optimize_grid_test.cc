@@ -1,8 +1,8 @@
 // One plan search, two entry points: every OptimizeGrid member and every
 // Optimize result must equal the scalar DP in tests/plan_search_oracle.h
 // bit for bit (plan signature, native cost with exact double equality,
-// every activity field), for both cost-model flavors, across parameter
-// grids that mix memory-context groups.
+// every activity field, plan shape), for both cost-model flavors, across
+// parameter grids that mix memory-context groups.
 #include "simdb/optimizer.h"
 
 #include <gtest/gtest.h>
@@ -94,6 +94,22 @@ void ExpectPlanMatchesSignature(const Optimizer& opt,
   EXPECT_EQ(signature, res.signature) << ctx << " member " << k;
 }
 
+/// Same plan shape node by node. These queries have exact cost ties
+/// between join candidates whose signatures, costs and activities also
+/// agree, so only the tree shows which candidate won the tie.
+void ExpectSameTree(const PlanNode* got, const PlanNode* want,
+                    const char* ctx, size_t k) {
+  ASSERT_EQ(got == nullptr, want == nullptr) << ctx << " member " << k;
+  if (got == nullptr) return;
+  EXPECT_EQ(static_cast<int>(got->op), static_cast<int>(want->op))
+      << ctx << " member " << k;
+  EXPECT_EQ(got->table, want->table) << ctx << " member " << k;
+  EXPECT_EQ(got->index, want->index) << ctx << " member " << k;
+  EXPECT_EQ(got->inner_index, want->inner_index) << ctx << " member " << k;
+  ExpectSameTree(got->left, want->left, ctx, k);
+  ExpectSameTree(got->right, want->right, ctx, k);
+}
+
 OptimizeResult Oracle(const Optimizer& opt, const QuerySpec& q,
                       const EngineParams& params) {
   return oracle::ScalarOptimize(opt.catalog(), opt.cost_model(), q, params);
@@ -114,9 +130,11 @@ class OptimizeGridTest : public ::testing::Test {
       for (size_t k = 0; k < sweep.size(); ++k) {
         const OptimizeResult want = Oracle(opt, q, sweep[k]);
         ExpectIdentical(grid[k], want, ctx, k);
+        ExpectSameTree(grid[k].plan.get(), want.plan.get(), ctx, k);
         ExpectPlanMatchesSignature(opt, grid[k], sweep[k], ctx, k);
         const OptimizeResult single = opt.Optimize(q, sweep[k]);
         ExpectIdentical(single, want, ctx, k);
+        ExpectSameTree(single.plan.get(), want.plan.get(), ctx, k);
         ExpectPlanMatchesSignature(opt, single, sweep[k], ctx, k);
       }
     }
