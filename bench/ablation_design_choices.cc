@@ -62,8 +62,10 @@ int main() {
     adv.Recommend();
     long calls = adv.estimator()->optimizer_calls();
     long hits = adv.estimator()->cache_hits();
-    // Without the cache every (tenant, allocation) revisit would re-run the
-    // optimizer: calls-without-cache = calls + hits * statements/visit.
+    // Two caches cut the optimizer work: each tenant-cache hit skips a
+    // whole workload's pricing, and the per-statement memo behind it runs
+    // each (statement, allocation) evaluation once across tenants, so no
+    // closed formula recovers the uncached call count from these two.
     std::printf("optimizer calls with cache: %ld; cache hits: %ld "
                 "(each hit saves one full workload optimization)\n",
                 calls, hits);

@@ -240,8 +240,8 @@ void RecordWhatIfProbeThroughput() {
 
   // Each arm builds a fresh estimator (all probes miss) and runs the whole
   // frontier once. batch_threads=1 is the smallest pool, one worker joined
-  // by the calling thread, so the EstimateMany arm still fans out on 2
-  // threads while the scalar loop runs on 1.
+  // by the calling thread: the EstimateMany arm fans out on 2 threads once,
+  // the scalar loop once per probe (each miss is a one-item batch).
   auto time_arm = [&](bool vectorized, std::vector<double>* out) {
     advisor::WhatIfEstimatorOptions opts;
     opts.batch_threads = 1;

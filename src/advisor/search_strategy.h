@@ -69,9 +69,9 @@ struct SearchSpec {
 /// identical results. Route every estimate through
 /// CostEstimator::EstimateMany / EstimateBatch (or EstimatorObjective) so
 /// parallel estimators can fan probes out, cache hits included; never call
-/// EstimateSeconds. On a what-if estimator each scalar miss is a
-/// one-member OptimizeGrid per statement, which pays the search's fixed
-/// setup cost that a batch shares.
+/// EstimateSeconds. On a what-if estimator each scalar miss prices its
+/// unmemoized statements with one-member OptimizeGrid calls, which pay
+/// the search's fixed setup cost that a batch shares.
 class SearchStrategy {
  public:
   virtual ~SearchStrategy() = default;

@@ -34,9 +34,11 @@ BudgetGrid::BudgetGrid(double delta, double min_share)
   // Repeated addition, NOT min_share + k * delta: the grid walk
   // (tests/grid_oracle.h) accumulates (`for (v = min_share; ...;
   // v += delta)`), and bit-exact parity needs the exact same rounding at
-  // every rung.
+  // every rung. Each rung is clamped to 1.0: the accumulated top rung can
+  // land just above it (0.05 in steps of 0.05 reaches 1.0000000000000002),
+  // which is no valid share; only a one-tenant solve can reach that rung.
   for (double v = min_share_; v <= 1.0 + kGridEpsilon; v += delta_) {
-    ladder_.push_back(v);
+    ladder_.push_back(std::min(v, 1.0));
   }
   VDBA_CHECK(!ladder_.empty());
 }

@@ -30,6 +30,8 @@ struct RelationRef {
   /// default) is a fully local table — no network cost, preserving the
   /// paper's M <= 3 behaviour exactly.
   double remote_fraction = 0.0;
+
+  bool operator==(const RelationRef&) const = default;
 };
 
 /// Equi-join edge between two relations of the query.
@@ -41,6 +43,8 @@ struct JoinPredicate {
   /// Indexed column on the right relation usable for index-nested-loops
   /// when the right side is joined as the inner (empty = none).
   std::string right_index_column;
+
+  bool operator==(const JoinPredicate&) const = default;
 };
 
 enum class AggregateKind {
@@ -59,12 +63,16 @@ struct AggregateSpec {
   double group_row_width = 48.0;
   /// Fraction of groups surviving a HAVING clause.
   double having_selectivity = 1.0;
+
+  bool operator==(const AggregateSpec&) const = default;
 };
 
 /// Final ORDER BY over the result.
 struct SortSpec {
   bool required = false;
   double row_width = 48.0;
+
+  bool operator==(const SortSpec&) const = default;
 };
 
 /// Write activity of the statement (OLTP transactions).
@@ -73,9 +81,17 @@ struct UpdateSpec {
   /// Secondary-index entries touched per modified row.
   double index_touches_per_row = 0.0;
   double log_bytes_per_row = 120.0;
+
+  bool operator==(const UpdateSpec&) const = default;
 };
 
 /// A single SQL statement, structurally described.
+///
+/// Equality is memberwise over every field (the five member structs
+/// included): the what-if estimator shares one statement's optimizer
+/// costs between every tenant whose statement compares equal, so a field
+/// left out of the comparison would let two different queries share a
+/// cost.
 struct QuerySpec {
   std::string name;
   std::vector<RelationRef> relations;
@@ -105,6 +121,8 @@ struct QuerySpec {
   /// For OLTP statements: concurrent clients issuing this statement
   /// (drives contention intensity in the executor).
   double concurrency = 1.0;
+
+  bool operator==(const QuerySpec&) const = default;
 };
 
 }  // namespace vdba::simdb

@@ -191,6 +191,41 @@ TEST(AdvisorServiceTest, FirstArrivalMatchesColdBatchSolve) {
   EXPECT_DOUBLE_EQ(snap.objective, want.objective);
 }
 
+TEST(AdvisorServiceTest, DpPruneServiceSurvivesItsFirstArrivals) {
+  // The service cold-solves a machine's first tenant alone; under
+  // dp_prune that one-tenant solve used to abort the process. Two
+  // machines with migration armed (the default threshold) and three
+  // arrivals: every event resolves, and the first one matches a cold
+  // one-tenant dp_prune advisor.
+  ServiceOptions options;
+  options.advisor.search.strategy = "dp_prune";
+  scenario::Testbed& tb = TB();
+  const FleetMachine machine{tb.machine(), &tb.pg_calibration(),
+                             &tb.db2_calibration()};
+  AdvisorService service({machine, machine}, options);
+  EventOutcome first = service.SubmitArrival(ServiceTenant(0)).get();
+  ASSERT_TRUE(first.ok) << first.error;
+
+  advisor::AdvisorOptions cold_options;
+  cold_options.search.strategy = "dp_prune";
+  advisor::VirtualizationDesignAdvisor cold(tb.machine(), {ServiceTenant(0)},
+                                            cold_options);
+  advisor::Recommendation want = cold.Recommend();
+  FleetSnapshot snap = service.Snapshot();
+  ASSERT_EQ(snap.allocations.size(), 1u);
+  EXPECT_EQ(snap.allocations[0], want.allocations[0]);
+
+  for (int i = 1; i < 3; ++i) {
+    EventOutcome out = service.SubmitArrival(ServiceTenant(i)).get();
+    ASSERT_TRUE(out.ok) << out.error;
+  }
+  snap = service.Snapshot();
+  ASSERT_EQ(snap.allocations.size(), 3u);
+  for (const simvm::ResourceVector& r : snap.allocations) {
+    EXPECT_TRUE(r.Valid()) << r.ToString();
+  }
+}
+
 TEST(AdvisorServiceTest, NoOpDriftReturnsTheIncumbentBitIdentical) {
   AdvisorService service({FleetMachine{TB().machine()}},
                          SingleMachineOptions());

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "advisor/advisor.h"
 #include "advisor/cost_estimator.h"
 #include "advisor/search_strategy.h"
 #include "grid_oracle.h"
@@ -56,7 +57,10 @@ TEST(BudgetGridTest, StepsForRoundTripsEveryRung) {
   for (int k = 0; k < grid.size(); ++k) {
     EXPECT_EQ(grid.StepsFor(grid.ShareFor(k)), k) << k;
   }
-  EXPECT_LE(grid.ShareFor(grid.size() - 1), 1.0 + 1e-9);
+  // Accumulating 0.05 in steps of 0.05 reaches 1.0000000000000002, which
+  // passes the ladder's 1 + 1e-9 bound; the top rung must be a valid
+  // share, exactly 1.0.
+  EXPECT_EQ(grid.ShareFor(grid.size() - 1), 1.0);
 }
 
 TEST(BudgetGridTest, OffLadderSharesHaveNoRung) {
@@ -328,6 +332,32 @@ TEST(DpPruneStrategyTest, BitExactWithTheOracleOnCalibratedWhatIfEstimates) {
     ASSERT_EQ(want.allocations.front().dims(), 4);
     ExpectBitIdentical(got, want);
   }
+}
+
+TEST(DpPruneStrategyTest, OneTenantSolveReturnsAValidAllocation) {
+  // A lone tenant may take the whole machine, i.e. BudgetGrid's top rung;
+  // the solve used to abort on VDBA_CHECK r.Valid() at a share just above
+  // 1.0. It must return a valid allocation that matches the grid oracle.
+  scenario::TestbedOptions topts;
+  topts.with_sf10 = false;
+  topts.with_tpcc = false;
+  scenario::Testbed tb(topts);
+  simdb::Workload q18;
+  q18.AddStatement(workload::TpchQuery(tb.tpch_sf1(), 18), 10.0);
+  advisor::AdvisorOptions options;
+  options.search.strategy = "dp_prune";
+  advisor::VirtualizationDesignAdvisor adv(
+      tb.machine(), {tb.MakeTenant(tb.db2_sf1(), q18)}, options);
+  advisor::Recommendation rec = adv.Recommend();
+  ASSERT_EQ(rec.allocations.size(), 1u);
+  EXPECT_TRUE(rec.allocations[0].Valid()) << rec.allocations[0].ToString();
+
+  advisor::WhatIfCostEstimator oracle_est(tb.machine(),
+                                          {tb.MakeTenant(tb.db2_sf1(), q18)});
+  EnumerationResult want = oracle::GridArgmin(
+      &oracle_est, {QosSpec{}}, options.search.enumerator);
+  EXPECT_EQ(rec.allocations[0], want.allocations[0]);
+  EXPECT_EQ(rec.objective, want.objective);
 }
 
 TEST(DpPruneStrategyTest, BitExactWithExhaustiveUnderPinnedDimensions) {

@@ -5,6 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "advisor/cost_estimator.h"
@@ -223,6 +228,7 @@ TEST_F(EstimateManyTest, SetWorkloadInvalidatesOnlyThatTenantAfterFanOut) {
   const long calls_before = est.optimizer_calls();
   const long hits_before = est.cache_hits();
 
+  // Frequency-only change: Q17 x3 becomes Q17 x30.
   simdb::Workload heavier;
   heavier.AddStatement(workload::TpchQuery(tb_.tpch_sf1(), 17), 30.0);
   est.SetWorkload(1, heavier);
@@ -233,16 +239,14 @@ TEST_F(EstimateManyTest, SetWorkloadInvalidatesOnlyThatTenantAfterFanOut) {
   EXPECT_EQ(est.observations(2).size(), obs2);
 
   // Re-probing the whole frontier: tenant 1's probes are cache misses
-  // again (fresh optimizer calls under the new workload), the other
-  // tenants' replay purely from cache.
+  // again, the other tenants' replay purely from cache. Tenant 1 still
+  // runs Q17, which the statement memo already priced at every frontier
+  // allocation, so the misses cost no optimizer call.
   std::vector<TenantAllocation> frontier = Frontier();
-  size_t tenant1_distinct = 0;
   est.EstimateMany(frontier);
-  tenant1_distinct = est.observations(1).size();
+  const size_t tenant1_distinct = est.observations(1).size();
   EXPECT_GT(tenant1_distinct, 0u);
-  EXPECT_EQ(est.optimizer_calls() - calls_before,
-            static_cast<long>(tenant1_distinct) *
-                static_cast<long>(heavier.statements.size()));
+  EXPECT_EQ(est.optimizer_calls() - calls_before, 0);
   // Every non-tenant-1 probe of the frontier was a cache hit.
   EXPECT_EQ(est.cache_hits() - hits_before,
             static_cast<long>(frontier.size()) -
@@ -253,6 +257,201 @@ TEST_F(EstimateManyTest, SetWorkloadInvalidatesOnlyThatTenantAfterFanOut) {
   // And the invalidation is semantic, not just bookkeeping: the heavier
   // workload estimates heavier.
   EXPECT_GT(est.EstimateSeconds(1, {0.5, 0.5}), t1_before);
+
+  // Statements no tenant runs have nothing in the memo: every distinct
+  // allocation costs one evaluation per statement.
+  simdb::Workload fresh;
+  fresh.AddStatement(workload::TpchQuery(tb_.tpch_sf1(), 5), 1.0);
+  fresh.AddStatement(workload::TpchQuery(tb_.tpch_sf1(), 10), 2.0);
+  est.SetWorkload(1, fresh);
+  const long calls_before_fresh = est.optimizer_calls();
+  est.EstimateMany(frontier);
+  ASSERT_EQ(est.observations(1).size(), tenant1_distinct);
+  EXPECT_EQ(est.optimizer_calls() - calls_before_fresh,
+            static_cast<long>(tenant1_distinct) *
+                static_cast<long>(fresh.statements.size()));
+}
+
+simdb::Workload TpchWorkload(const workload::TpchDatabase& db,
+                             std::initializer_list<int> queries,
+                             double frequency) {
+  simdb::Workload w;
+  for (int qn : queries) w.AddStatement(workload::TpchQuery(db, qn), frequency);
+  return w;
+}
+
+TEST_F(EstimateManyTest, TenantsSharingStatementsMatchOneEstimatorEach) {
+  // The statement memo serves every tenant that runs a statement: tenants
+  // sharing statements must see exactly the estimates, observation logs
+  // and cache hits of one estimator per tenant, while the optimizer
+  // prices each distinct (statement class, allocation) once.
+  const workload::TpchDatabase& db = tb_.tpch_sf1();
+  const std::vector<Tenant> tenants = {
+      tb_.MakeTenant(tb_.pg_sf1(), TpchWorkload(db, {1, 6, 18}, 2.0)),
+      tb_.MakeTenant(tb_.pg_sf1(), TpchWorkload(db, {6, 18, 21}, 1.5)),
+      // The same queries on the other engine are other classes.
+      tb_.MakeTenant(tb_.db2_sf1(), TpchWorkload(db, {6, 18}, 3.0)),
+      // Tenant 0's statements at another frequency.
+      tb_.MakeTenant(tb_.pg_sf1(), TpchWorkload(db, {1, 6, 18}, 5.0)),
+  };
+  std::vector<TenantAllocation> batch;
+  for (double c : {0.2, 0.5, 0.8}) {
+    for (int t = 0; t < static_cast<int>(tenants.size()); ++t) {
+      batch.push_back({t, {c, 0.5}});
+      batch.push_back({t, {0.5, c}});
+    }
+  }
+  batch.push_back({3, {0.2, 0.5}});  // duplicate: cache hit
+
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    WhatIfEstimatorOptions opts;
+    opts.batch_threads = threads;
+    WhatIfCostEstimator shared(tb_.machine(), tenants, opts);
+    const std::vector<double> got = shared.EstimateMany(batch);
+
+    long hits = 0;
+    std::set<std::tuple<const void*, const void*, std::string,
+                        std::vector<double>>>
+        distinct;
+    for (int t = 0; t < static_cast<int>(tenants.size()); ++t) {
+      const Tenant& tenant = tenants[static_cast<size_t>(t)];
+      WhatIfCostEstimator alone(tb_.machine(), {tenant});
+      for (size_t i = 0; i < batch.size(); ++i) {
+        if (batch[i].tenant != t) continue;
+        EXPECT_EQ(got[i], alone.EstimateSeconds(0, batch[i].r)) << i;
+      }
+      hits += alone.cache_hits();
+      const auto& want = alone.observations(0);
+      ASSERT_EQ(shared.observations(t).size(), want.size()) << t;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(shared.observations(t)[i].allocation, want[i].allocation);
+        EXPECT_EQ(shared.observations(t)[i].est_seconds, want[i].est_seconds);
+        EXPECT_EQ(shared.observations(t)[i].plan_signature,
+                  want[i].plan_signature);
+        for (const auto& stmt : tenant.workload.statements) {
+          distinct.emplace(tenant.engine, tenant.calibration, stmt.query.name,
+                           want[i].allocation.ToVector());
+        }
+      }
+    }
+    EXPECT_EQ(shared.cache_hits(), hits);
+    EXPECT_EQ(shared.optimizer_calls(), static_cast<long>(distinct.size()));
+    EXPECT_EQ(shared.memo_entries(), distinct.size());
+  }
+}
+
+TEST_F(EstimateManyTest, EveryQuerySpecFieldSeparatesStatementClasses) {
+  // Two tenants share a statement's memo entries only when the statements
+  // compare equal in every field: a one-field change anywhere in the
+  // QuerySpec or its member structs must cost its own evaluation.
+  const simdb::QuerySpec base = workload::TpchQuery(tb_.tpch_sf1(), 3);
+  ASSERT_EQ(base.relations.size(), 3u);
+  ASSERT_EQ(base.joins.size(), 2u);
+  using Spec = simdb::QuerySpec;
+  using Edit = std::function<void(Spec*)>;
+  const std::vector<std::pair<std::string, Edit>> edits = {
+      {"name", [](Spec* q) { q->name += "'"; }},
+      {"relations.table",
+       [](Spec* q) { q->relations[0].table = q->relations[1].table; }},
+      {"relations.filter_selectivity",
+       [](Spec* q) { q->relations[0].filter_selectivity *= 0.5; }},
+      {"relations.num_predicates",
+       [](Spec* q) { q->relations[0].num_predicates += 1; }},
+      {"relations.index_column",
+       [](Spec* q) { q->relations[0].index_column += "_x"; }},
+      {"relations.remote_fraction",
+       [](Spec* q) { q->relations[0].remote_fraction = 0.25; }},
+      {"joins.left_rel", [](Spec* q) { q->joins[1].left_rel = 0; }},
+      {"joins.right_rel", [](Spec* q) { q->joins[0].right_rel = 2; }},
+      {"joins.selectivity",
+       [](Spec* q) { q->joins[0].selectivity *= 2.0; }},
+      {"joins.right_index_column",
+       [](Spec* q) { q->joins[0].right_index_column += "_x"; }},
+      {"aggregate.kind",
+       [](Spec* q) {
+         q->aggregate.kind = simdb::AggregateKind::kScalar;
+       }},
+      {"aggregate.num_groups",
+       [](Spec* q) { q->aggregate.num_groups *= 2.0; }},
+      {"aggregate.num_aggregates",
+       [](Spec* q) { q->aggregate.num_aggregates += 1; }},
+      {"aggregate.group_row_width",
+       [](Spec* q) { q->aggregate.group_row_width += 8.0; }},
+      {"aggregate.having_selectivity",
+       [](Spec* q) { q->aggregate.having_selectivity = 0.5; }},
+      {"order_by.required",
+       [](Spec* q) { q->order_by.required = !q->order_by.required; }},
+      {"order_by.row_width",
+       [](Spec* q) { q->order_by.row_width += 8.0; }},
+      {"update.rows_modified",
+       [](Spec* q) { q->update.rows_modified = 10.0; }},
+      {"update.index_touches_per_row",
+       [](Spec* q) { q->update.index_touches_per_row = 2.0; }},
+      {"update.log_bytes_per_row",
+       [](Spec* q) { q->update.log_bytes_per_row += 8.0; }},
+      {"extra_ops_per_row",
+       [](Spec* q) { q->extra_ops_per_row += 1.0; }},
+      {"limit_rows", [](Spec* q) { q->limit_rows += 5.0; }},
+      {"ship_fraction", [](Spec* q) { q->ship_fraction = 0.5; }},
+      {"oltp", [](Spec* q) { q->oltp = !q->oltp; }},
+      {"concurrency", [](Spec* q) { q->concurrency += 1.0; }},
+  };
+  auto calls_for = [&](const simdb::QuerySpec& variant) {
+    simdb::Workload a;
+    a.AddStatement(base);
+    simdb::Workload b;
+    b.AddStatement(variant);
+    WhatIfCostEstimator est(tb_.machine(), {tb_.MakeTenant(tb_.pg_sf1(), a),
+                                            tb_.MakeTenant(tb_.pg_sf1(), b)});
+    const std::vector<TenantAllocation> batch = {{0, {0.5, 0.5}},
+                                                 {1, {0.5, 0.5}}};
+    est.EstimateMany(batch);
+    return est.optimizer_calls();
+  };
+  EXPECT_EQ(calls_for(base), 1);  // an identical copy shares the class
+  for (const auto& [field, edit] : edits) {
+    simdb::QuerySpec variant = base;
+    edit(&variant);
+    EXPECT_FALSE(variant == base) << field;
+    EXPECT_EQ(calls_for(variant), 2) << field;
+  }
+}
+
+TEST_F(EstimateManyTest, MemoDropsAClassWithItsLastStatement) {
+  const workload::TpchDatabase& db = tb_.tpch_sf1();
+  WhatIfCostEstimator est(
+      tb_.machine(),
+      {tb_.MakeTenant(tb_.pg_sf1(), TpchWorkload(db, {1, 6}, 1.0)),
+       tb_.MakeTenant(tb_.pg_sf1(), TpchWorkload(db, {6, 18}, 1.0))});
+  std::vector<TenantAllocation> batch;
+  for (double c : {0.2, 0.5, 0.8}) {
+    batch.push_back({0, {c, 0.5}});
+    batch.push_back({1, {c, 0.5}});
+  }
+  est.EstimateMany(batch);
+  EXPECT_EQ(est.memo_entries(), 9u);  // Q1, Q6, Q18 at 3 allocations
+  EXPECT_EQ(est.optimizer_calls(), 9);
+
+  // A frequency-only change keeps every class.
+  est.SetWorkload(1, TpchWorkload(db, {6, 18}, 4.0));
+  EXPECT_EQ(est.memo_entries(), 9u);
+  // Dropping Q18's last statement drops its entries; Q6 stays, tenant 0
+  // still runs it.
+  est.SetWorkload(1, TpchWorkload(db, {6}, 1.0));
+  EXPECT_EQ(est.memo_entries(), 6u);
+  // Replacing tenant 0 drops PostgreSQL Q1 (the DB2 Q1 that replaces it
+  // is another class).
+  est.ReplaceTenant(0,
+                    tb_.MakeTenant(tb_.db2_sf1(), TpchWorkload(db, {1}, 1.0)));
+  EXPECT_EQ(est.memo_entries(), 3u);
+
+  // A dropped class is priced afresh when a statement brings it back.
+  const long calls_before = est.optimizer_calls();
+  est.SetWorkload(1, TpchWorkload(db, {6, 18}, 1.0));
+  est.EstimateMany(batch);
+  EXPECT_EQ(est.optimizer_calls() - calls_before, 6);  // DB2 Q1 + Q18, x3
+  EXPECT_EQ(est.memo_entries(), 9u);
 }
 
 TEST(ThreadPoolOrderTest, ParallelForOrderCoversEveryIndexOnce) {

@@ -5,8 +5,9 @@
 // and returns the first strict minimum of the gain-weighted objective.
 // dp_prune must reproduce this walk bit for bit, so the walk is spelled
 // out the way the DP's equivalence argument reads it:
-//  - share doubles come from repeated addition (v += delta), and a share
-//    fits when v <= 1 - used - min_share * (remaining - 1) + 1e-9;
+//  - share doubles come from repeated addition (v += delta), clamped to
+//    1.0, and a share fits when
+//    v <= 1 - used - min_share * (remaining - 1) + 1e-9;
 //  - dimension 0 is the outermost loop, tenant order within a dimension;
 //  - pinned dimensions sit at 1/N, or at `initial`'s shares when given;
 //  - the objective accumulates gain_i * EstimateSeconds(i, .) in tenant
@@ -18,6 +19,7 @@
 #ifndef VDBA_TESTS_GRID_ORACLE_H_
 #define VDBA_TESTS_GRID_ORACLE_H_
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -46,7 +48,7 @@ inline void EnumerateGridShares(int n, double delta, double min_share,
   // Leave enough for the remaining tenants to reach min_share each.
   const double max_here = 1.0 - used - min_share * (remaining - 1);
   for (double v = min_share; v <= max_here + 1e-9; v += delta) {
-    prefix->push_back(v);
+    prefix->push_back(std::min(v, 1.0));  // as BudgetGrid clamps its rungs
     EnumerateGridShares(n, delta, min_share, prefix, out);
     prefix->pop_back();
   }

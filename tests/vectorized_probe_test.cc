@@ -169,11 +169,15 @@ TEST_F(VectorizedProbeTest, ConcurrentReadersAndWritersAreSafe) {
 
 TEST_F(VectorizedProbeTest, InvalidateTenantIsSafeUnderDisjointReaders) {
   // The sharded-service contract (AdvisorService drift repair):
-  // InvalidateTenant(t) may run concurrently with estimation of tenants
-  // != t. Readers hammer tenants 0 and 1 while a writer repeatedly
-  // invalidates and re-primes tenant 2; every reader result must be
-  // bit-identical to a quiescent run — invalidation of a DISJOINT tenant
-  // can cost recomputation, never a different answer.
+  // InvalidateTenant(t) and SetWorkload(t) may run concurrently with
+  // estimation of tenants != t. Readers hammer tenants 0 and 1 while a
+  // writer repeatedly invalidates, re-weights and replaces tenant 2's
+  // workload and re-primes it; every reader result must be bit-identical
+  // to a quiescent run — a change to a DISJOINT tenant can cost
+  // recomputation, never a different answer. The replacement shares Q1
+  // with tenant 0 and brings Q5, which no other tenant runs, so the
+  // writer also moves shared statement classes and drops Q5's memo
+  // entries each time it restores the original workload.
   std::vector<TenantAllocation> frontier;
   for (const TenantAllocation& item : Frontier()) {
     if (item.tenant != 2) frontier.push_back(item);
@@ -188,13 +192,27 @@ TEST_F(VectorizedProbeTest, InvalidateTenantIsSafeUnderDisjointReaders) {
   {
     std::vector<std::thread> threads;
     std::atomic<bool> stop{false};
+    const simdb::Workload original = tenants_[2].workload;
+    simdb::Workload reweighted = original;
+    for (simdb::WorkloadStatement& stmt : reweighted.statements) {
+      stmt.frequency *= 4.0;
+    }
+    simdb::Workload replaced;
+    replaced.AddStatement(workload::TpchQuery(tb_->tpch_sf1(), 1), 1.0);
+    replaced.AddStatement(workload::TpchQuery(tb_->tpch_sf1(), 5), 2.0);
     threads.emplace_back([&] {
       // Writer: estimate tenant 2 (fills its cache/observations), then
-      // invalidate it, in a tight loop until every reader finished.
+      // invalidate it, change its frequencies, then its statements, in a
+      // tight loop until every reader finished.
       const simvm::ResourceVector probe{0.5, 0.5, 0.5, 0.5};
       while (!stop.load()) {
         shared.EstimateSeconds(2, probe);
         shared.InvalidateTenant(2);
+        shared.SetWorkload(2, reweighted);
+        shared.EstimateSeconds(2, probe);
+        shared.SetWorkload(2, replaced);
+        shared.EstimateSeconds(2, probe);
+        shared.SetWorkload(2, original);
       }
     });
     std::vector<std::thread> readers;
