@@ -6,11 +6,11 @@ namespace vdba::advisor {
 
 VirtualizationDesignAdvisor::VirtualizationDesignAdvisor(
     const simvm::PhysicalMachine& machine, std::vector<Tenant> tenants,
-    AdvisorOptions options)
+    AdvisorOptions options, std::shared_ptr<StatementMemo> memo)
     : machine_(machine),
       options_(std::move(options)),
       estimator_(std::make_unique<WhatIfCostEstimator>(
-          machine, std::move(tenants), options_.estimator)) {}
+          machine, std::move(tenants), options_.estimator, std::move(memo))) {}
 
 std::vector<QosSpec> VirtualizationDesignAdvisor::QosList() const {
   std::vector<QosSpec> qos;

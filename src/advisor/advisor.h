@@ -48,9 +48,12 @@ struct Recommendation {
 /// does not own engines or calibration models.
 class VirtualizationDesignAdvisor {
  public:
+  /// \param memo The statement memo the estimator prices through; null
+  ///   gives it a private one (see WhatIfCostEstimator).
   VirtualizationDesignAdvisor(const simvm::PhysicalMachine& machine,
                               std::vector<Tenant> tenants,
-                              AdvisorOptions options = AdvisorOptions());
+                              AdvisorOptions options = AdvisorOptions(),
+                              std::shared_ptr<StatementMemo> memo = nullptr);
 
   /// Initial static recommendation (§4): the configured search strategy
   /// enumerating over the calibrated what-if estimator.

@@ -49,13 +49,230 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+uint64_t HashShares(const std::array<double, simvm::kMaxResourceDims>& s) {
+  uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (double share : s) h = Mix(h ^ std::bit_cast<uint64_t>(share));
+  return h;
+}
+
+uint64_t HashEntry(int32_t cls, int32_t alloc) {
+  return Mix((static_cast<uint64_t>(static_cast<uint32_t>(alloc)) << 32) |
+             static_cast<uint32_t>(cls));
+}
+
+/// Linear probing over a power-of-two table of positions (-1 marks an
+/// empty slot): the slot whose position `same` accepts, or the empty slot
+/// where the probed key belongs.
+template <typename Same>
+size_t ProbeSlot(const std::vector<int32_t>& table, uint64_t hash,
+                 const Same& same) {
+  const size_t mask = table.size() - 1;
+  for (size_t i = static_cast<size_t>(hash) & mask;; i = (i + 1) & mask) {
+    if (table[i] < 0 || same(table[i])) return i;
+  }
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// StatementMemo
+// ---------------------------------------------------------------------------
+
+StatementMemo::StatementMemo(const simvm::PhysicalMachine& machine)
+    : memory_mb_(machine.memory_mb), resources_(machine.resources) {}
+
+bool StatementMemo::Fits(const simvm::PhysicalMachine& machine) const {
+  return machine.memory_mb == memory_mb_ && machine.resources == resources_;
+}
+
+size_t StatementMemo::entries() const {
+  std::shared_lock lock(mu_);
+  return size_;
+}
+
+size_t StatementMemo::classes() const {
+  std::shared_lock lock(mu_);
+  return static_cast<size_t>(
+      std::count_if(classes_.begin(), classes_.end(),
+                    [](const StatementClass& c) { return c.refs > 0; }));
+}
+
+size_t StatementMemo::AllocSlot(const Shares& shares) const {
+  return ProbeSlot(alloc_index_, HashShares(shares), [&](int32_t a) {
+    return allocs_[static_cast<size_t>(a)] == shares;
+  });
+}
+
+int32_t StatementMemo::FindAllocation(const Shares& shares) const {
+  if (allocs_.empty()) return -1;
+  return alloc_index_[AllocSlot(shares)];
+}
+
+int32_t StatementMemo::InternAllocation(const Shares& shares) {
+  if (2 * (allocs_.size() + 1) > alloc_index_.size()) {
+    alloc_index_.assign(std::max<size_t>(16, 2 * alloc_index_.size()), -1);
+    for (size_t a = 0; a < allocs_.size(); ++a) {
+      alloc_index_[AllocSlot(allocs_[a])] = static_cast<int32_t>(a);
+    }
+  }
+  int32_t& slot = alloc_index_[AllocSlot(shares)];
+  if (slot < 0) {
+    slot = static_cast<int32_t>(allocs_.size());
+    allocs_.push_back(shares);
+  }
+  return slot;
+}
+
+size_t StatementMemo::EntrySlot(int32_t cls, int32_t alloc) const {
+  const size_t mask = table_.size() - 1;
+  for (size_t i = static_cast<size_t>(HashEntry(cls, alloc)) & mask;;
+       i = (i + 1) & mask) {
+    const Entry& e = table_[i];
+    if (e.cls < 0 || (e.cls == cls && e.alloc == alloc)) return i;
+  }
+}
+
+const StatementMemo::Entry* StatementMemo::Find(int32_t cls,
+                                                int32_t alloc) const {
+  if (size_ == 0) return nullptr;
+  const Entry& e = table_[EntrySlot(cls, alloc)];
+  return e.cls < 0 ? nullptr : &e;
+}
+
+void StatementMemo::Rebuild(size_t capacity) {
+  std::deque<Entry> old(capacity, Entry{0.0, 0, -1, 0});
+  old.swap(table_);
+  for (const Entry& e : old) {
+    if (e.cls >= 0) table_[EntrySlot(e.cls, e.alloc)] = e;
+  }
+}
+
+void StatementMemo::Reserve(size_t more) {
+  size_t capacity = std::max<size_t>(16, table_.size());
+  while (4 * (size_ + more) > 3 * capacity) capacity *= 2;
+  if (capacity != table_.size()) Rebuild(capacity);
+}
+
+const StatementMemo::Entry& StatementMemo::Publish(int32_t cls,
+                                                   const Shares& shares,
+                                                   double native_cost,
+                                                   std::string signature) {
+  const int32_t alloc = InternAllocation(shares);
+  Entry& e = table_[EntrySlot(cls, alloc)];
+  if (e.cls >= 0) return e;  // published by another batch meanwhile
+  std::vector<std::string>& sigs =
+      classes_[static_cast<size_t>(cls)].signatures;
+  auto it = std::find(sigs.begin(), sigs.end(), signature);
+  const auto sig = static_cast<int32_t>(it - sigs.begin());
+  if (it == sigs.end()) sigs.push_back(std::move(signature));
+  e = Entry{native_cost, alloc, cls, sig};
+  ++size_;
+  return e;
+}
+
+void StatementMemo::DropDeadEntries() {
+  // Renumber the allocations that live entries still price, then rehash.
+  std::vector<int32_t> renumbered(allocs_.size(), -1);
+  std::vector<Shares> kept;
+  size_ = 0;
+  for (Entry& e : table_) {
+    if (e.cls < 0) continue;
+    if (classes_[static_cast<size_t>(e.cls)].refs == 0) {
+      e.cls = -1;
+      continue;
+    }
+    int32_t& a = renumbered[static_cast<size_t>(e.alloc)];
+    if (a < 0) {
+      a = static_cast<int32_t>(kept.size());
+      kept.push_back(allocs_[static_cast<size_t>(e.alloc)]);
+    }
+    e.alloc = a;
+    ++size_;
+  }
+  allocs_ = {};
+  alloc_index_ = {};
+  for (const Shares& shares : kept) InternAllocation(shares);
+  Rebuild(table_.size());
+}
+
+int StatementMemo::AcquireClass(const Tenant& t, const simdb::QuerySpec& query,
+                                int hint) {
+  auto matches = [&](const StatementClass& c) {
+    return c.refs > 0 && c.engine == t.engine &&
+           c.calibration == t.calibration && c.query == query;
+  };
+  int found = -1;
+  if (hint >= 0 && matches(classes_[static_cast<size_t>(hint)])) {
+    found = hint;
+  }
+  int free_slot = -1;
+  for (size_t c = 0; found < 0 && c < classes_.size(); ++c) {
+    if (matches(classes_[c])) found = static_cast<int>(c);
+    if (free_slot < 0 && classes_[c].refs == 0) {
+      free_slot = static_cast<int>(c);
+    }
+  }
+  if (found < 0) {
+    if (free_slot < 0) {
+      free_slot = static_cast<int>(classes_.size());
+      classes_.emplace_back();
+    }
+    found = free_slot;
+    classes_[static_cast<size_t>(found)] =
+        StatementClass{t.engine, t.calibration, query, 0, {}};
+  }
+  ++classes_[static_cast<size_t>(found)].refs;
+  return found;
+}
+
+bool StatementMemo::ReleaseClasses(std::span<const int> classes) {
+  bool dropped = false;
+  for (int c : classes) {
+    StatementClass& cls = classes_[static_cast<size_t>(c)];
+    if (--cls.refs == 0) {
+      cls = StatementClass{};
+      dropped = true;
+    }
+  }
+  return dropped;
+}
+
+std::vector<int> StatementMemo::Resolve(const Tenant& t,
+                                        const std::vector<int>& previous) {
+  std::unique_lock lock(mu_);
+  // Acquire before releasing, so a class the tenant keeps never drops.
+  std::vector<int> resolved;
+  resolved.reserve(t.workload.statements.size());
+  for (size_t s = 0; s < t.workload.statements.size(); ++s) {
+    resolved.push_back(AcquireClass(t, t.workload.statements[s].query,
+                                    s < previous.size() ? previous[s] : -1));
+  }
+  if (ReleaseClasses(previous) && size_ > 0) DropDeadEntries();
+  return resolved;
+}
+
+void StatementMemo::Release(std::span<const int> classes) {
+  std::unique_lock lock(mu_);
+  if (ReleaseClasses(classes) && size_ > 0) DropDeadEntries();
+}
+
+// ---------------------------------------------------------------------------
+// WhatIfCostEstimator
+// ---------------------------------------------------------------------------
 
 WhatIfCostEstimator::WhatIfCostEstimator(const simvm::PhysicalMachine& machine,
                                          std::vector<Tenant> tenants,
-                                         WhatIfEstimatorOptions options)
-    : machine_(machine), options_(options), tenants_(std::move(tenants)) {
+                                         WhatIfEstimatorOptions options,
+                                         std::shared_ptr<StatementMemo> memo)
+    : machine_(machine),
+      options_(options),
+      tenants_(std::move(tenants)),
+      memo_(memo != nullptr ? std::move(memo)
+                            : std::make_shared<StatementMemo>(machine)) {
   VDBA_CHECK(!tenants_.empty());
+  VDBA_CHECK_MSG(memo_->Fits(machine_),
+                 "statement memo of another machine class (machine '%s')",
+                 machine_.name.c_str());
   for (const Tenant& t : tenants_) ValidateTenant(t);
   observations_.resize(tenants_.size());
   std::lock_guard lock(batch_mu_);
@@ -65,7 +282,16 @@ WhatIfCostEstimator::WhatIfCostEstimator(const simvm::PhysicalMachine& machine,
   }
 }
 
-WhatIfCostEstimator::~WhatIfCostEstimator() = default;
+WhatIfCostEstimator::~WhatIfCostEstimator() {
+  // A private memo goes with the estimator; a shared one keeps serving
+  // the others, minus the classes only this estimator referenced.
+  if (memo_.use_count() == 1) return;
+  std::vector<int> classes;
+  for (const std::vector<int>& ids : tenant_classes_) {
+    classes.insert(classes.end(), ids.begin(), ids.end());
+  }
+  memo_->Release(classes);
+}
 
 size_t WhatIfCostEstimator::CacheKeyHash::operator()(
     const CacheKey& k) const {
@@ -157,280 +383,196 @@ struct WhatIfCostEstimator::Miss {
   std::string signature;
 };
 
-size_t WhatIfCostEstimator::memo_entries() const {
-  std::lock_guard lock(batch_mu_);
-  return memo_size_;
-}
-
-int32_t WhatIfCostEstimator::InternAllocation(const Shares& shares) {
-  auto slot_for = [this](const Shares& s) -> int32_t& {
-    uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (double share : s) h = Mix(h ^ std::bit_cast<uint64_t>(share));
-    const size_t mask = alloc_index_.size() - 1;
-    for (size_t i = static_cast<size_t>(h) & mask;; i = (i + 1) & mask) {
-      int32_t& a = alloc_index_[i];
-      if (a < 0 || memo_allocs_[static_cast<size_t>(a)] == s) return a;
-    }
-  };
-  if (2 * (memo_allocs_.size() + 1) > alloc_index_.size()) {
-    alloc_index_.assign(std::max<size_t>(16, 2 * alloc_index_.size()), -1);
-    for (size_t a = 0; a < memo_allocs_.size(); ++a) {
-      slot_for(memo_allocs_[a]) = static_cast<int32_t>(a);
-    }
-  }
-  int32_t& slot = slot_for(shares);
-  if (slot < 0) {
-    slot = static_cast<int32_t>(memo_allocs_.size());
-    memo_allocs_.push_back(shares);
-  }
-  return slot;
-}
-
-WhatIfCostEstimator::MemoEntry* WhatIfCostEstimator::MemoSlot(int32_t cls,
-                                                              int32_t alloc) {
-  const uint64_t h = Mix(
-      (static_cast<uint64_t>(static_cast<uint32_t>(alloc)) << 32) |
-      static_cast<uint32_t>(cls));
-  const size_t mask = memo_.size() - 1;
-  for (size_t i = static_cast<size_t>(h) & mask;; i = (i + 1) & mask) {
-    MemoEntry& e = memo_[i];
-    if (e.cls < 0 || (e.cls == cls && e.alloc == alloc)) return &e;
-  }
-}
-
-void WhatIfCostEstimator::RebuildMemo(size_t capacity) {
-  std::vector<MemoEntry> old(capacity, MemoEntry{0.0, 0, -1, 0});
-  old.swap(memo_);
-  for (const MemoEntry& e : old) {
-    if (e.cls >= 0) *MemoSlot(e.cls, e.alloc) = e;
-  }
-}
-
-void WhatIfCostEstimator::DropDeadEntries() {
-  // Renumber the allocations that live entries still price, then rehash.
-  std::vector<int32_t> renumbered(memo_allocs_.size(), -1);
-  std::vector<Shares> kept;
-  memo_size_ = 0;
-  for (MemoEntry& e : memo_) {
-    if (e.cls < 0) continue;
-    if (classes_[static_cast<size_t>(e.cls)].refs == 0) {
-      e.cls = -1;
-      continue;
-    }
-    int32_t& a = renumbered[static_cast<size_t>(e.alloc)];
-    if (a < 0) {
-      a = static_cast<int32_t>(kept.size());
-      kept.push_back(memo_allocs_[static_cast<size_t>(e.alloc)]);
-    }
-    e.alloc = a;
-    ++memo_size_;
-  }
-  memo_allocs_ = {};
-  alloc_index_ = {};
-  for (const Shares& shares : kept) InternAllocation(shares);
-  RebuildMemo(memo_.size());
-}
-
-int WhatIfCostEstimator::AcquireClass(const Tenant& t,
-                                      const simdb::QuerySpec& query,
-                                      int hint) {
-  auto matches = [&](const StatementClass& c) {
-    return c.refs > 0 && c.engine == t.engine &&
-           c.calibration == t.calibration && c.query == query;
-  };
-  int found = -1;
-  if (hint >= 0 && matches(classes_[static_cast<size_t>(hint)])) {
-    found = hint;
-  }
-  int free_slot = -1;
-  for (size_t c = 0; found < 0 && c < classes_.size(); ++c) {
-    if (matches(classes_[c])) found = static_cast<int>(c);
-    if (free_slot < 0 && classes_[c].refs == 0) {
-      free_slot = static_cast<int>(c);
-    }
-  }
-  if (found < 0) {
-    if (free_slot < 0) {
-      free_slot = static_cast<int>(classes_.size());
-      classes_.emplace_back();
-    }
-    found = free_slot;
-    classes_[static_cast<size_t>(found)] =
-        StatementClass{t.engine, t.calibration, query, 0, {}};
-  }
-  ++classes_[static_cast<size_t>(found)].refs;
-  return found;
-}
-
 void WhatIfCostEstimator::ResolveStatements(int tenant) {
-  const Tenant& t = tenants_[static_cast<size_t>(tenant)];
   std::vector<int>& ids = tenant_classes_[static_cast<size_t>(tenant)];
-  // Acquire before releasing, so a class the tenant keeps never drops.
-  std::vector<int> resolved;
-  resolved.reserve(t.workload.statements.size());
-  for (size_t s = 0; s < t.workload.statements.size(); ++s) {
-    resolved.push_back(AcquireClass(t, t.workload.statements[s].query,
-                                    s < ids.size() ? ids[s] : -1));
-  }
-  bool dropped = false;
-  for (int c : ids) {
-    StatementClass& cls = classes_[static_cast<size_t>(c)];
-    if (--cls.refs == 0) {
-      cls = StatementClass{};
-      dropped = true;
-    }
-  }
-  ids = std::move(resolved);
-  if (dropped && memo_size_ > 0) DropDeadEntries();
+  ids = memo_->Resolve(tenants_[static_cast<size_t>(tenant)], ids);
 }
 
 void WhatIfCostEstimator::PriceMisses(std::vector<Miss>* misses) {
+  using Shares = StatementMemo::Shares;
   // One distinct statement evaluation of this batch: a memo hit, or a
-  // memo miss priced below.
+  // memo miss priced below. A miss is keyed by its class and the batch
+  // miss whose allocation (and so whose calibrated parameters) it prices.
   struct Eval {
     double native_cost;
-    int32_t signature;
+    int32_t signature;  ///< in the class's signatures; -1 until published
+    int32_t cls;
+    size_t miss;
   };
-  // Memo misses of one class, each with the batch miss whose allocation
-  // (and so whose calibrated parameters) it prices.
+  // The memo misses of one class. The engine and query are the first
+  // batch tenant's own (equal to the class's by definition, and stable
+  // while batch_mu_ is held), so no memo state is read unlocked.
   struct ClassTask {
     int32_t cls;
+    const simdb::DbEngine* engine;
+    const simdb::QuerySpec* query;
     std::vector<size_t> evals;
-    std::vector<size_t> source;
     std::vector<simdb::EngineParams> params;
+    /// Plan signatures of the priced evaluations, until published.
+    std::vector<std::string> signatures;
   };
-  // Size the memo for the batch's statements up front, so claimed slots
-  // stay put: at most 3/4 full keeps linear probing short.
+  const size_t n = misses->size();
+  std::vector<Shares> shares(n);
+  std::vector<uint64_t> hashes(n);
   size_t statements = 0;
-  for (const Miss& miss : *misses) {
+  for (size_t m = 0; m < n; ++m) {
+    const Miss& miss = (*misses)[m];
+    for (int d = 0; d < simvm::kMaxResourceDims; ++d) {
+      shares[m][static_cast<size_t>(d)] = miss.r.share(d);
+    }
+    hashes[m] = HashShares(shares[m]);
     statements += tenant_classes_[static_cast<size_t>(miss.tenant)].size();
   }
-  size_t capacity = std::max<size_t>(16, memo_.size());
-  while (4 * (memo_size_ + statements) > 3 * capacity) capacity *= 2;
-  if (capacity != memo_.size()) RebuildMemo(capacity);
 
   std::vector<Eval> evals;
   evals.reserve(statements);
   std::vector<size_t> refs;  // per (miss, statement), flattened
   refs.reserve(statements);
+  // Batch-local index of the memo misses, so a (class, allocation) the
+  // batch needs twice is priced once; the memo itself holds only
+  // published entries.
+  std::vector<int32_t> pending;
   std::vector<ClassTask> tasks;
-  std::vector<int> task_of(classes_.size(), -1);
-  long priced = 0;  // memo misses: the evaluations the optimizer runs
-  std::vector<int32_t> miss_alloc(misses->size(), -1);
-  for (size_t m = 0; m < misses->size(); ++m) {
-    const Miss& miss = (*misses)[m];
-    const std::vector<int>& ids =
-        tenant_classes_[static_cast<size_t>(miss.tenant)];
-    if (ids.empty()) continue;
-    Shares shares;
-    for (int d = 0; d < simvm::kMaxResourceDims; ++d) {
-      shares[static_cast<size_t>(d)] = miss.r.share(d);
-    }
-    const int32_t alloc = miss_alloc[m] = InternAllocation(shares);
-    for (int c : ids) {
-      MemoEntry* e = MemoSlot(c, alloc);
-      if (e->cls < 0) {
-        // First sight of (class, allocation) in this batch: claim the
-        // slot, marking it pending by a negative signature that names its
-        // evaluation, so later statements of the batch find it.
-        *e = MemoEntry{0.0, alloc, c,
-                       -1 - static_cast<int32_t>(evals.size())};
-        ++memo_size_;
-        ++priced;
-        int& t = task_of[static_cast<size_t>(c)];
-        if (t < 0) {
-          t = static_cast<int>(tasks.size());
-          tasks.push_back(ClassTask{c, {}, {}, {}});
-        }
-        tasks[static_cast<size_t>(t)].evals.push_back(evals.size());
-        tasks[static_cast<size_t>(t)].source.push_back(m);
-        refs.push_back(evals.size());
-        evals.push_back(Eval{0.0, -1});
-      } else if (e->signature < 0) {
-        refs.push_back(static_cast<size_t>(-1 - e->signature));
-      } else {
-        refs.push_back(evals.size());
-        evals.push_back(Eval{e->native_cost, e->signature});
+  std::vector<int> task_of;  // by class id
+  // Concatenates each miss's plan signatures in statement order. Caller
+  // holds the memo's lock.
+  auto sign = [&] {
+    size_t ref = 0;
+    for (Miss& miss : *misses) {
+      std::string signature;
+      for (int c : tenant_classes_[static_cast<size_t>(miss.tenant)]) {
+        signature += memo_->signature(c, evals[refs[ref++]].signature);
+        signature += ';';
       }
-    }
-  }
-
-  // Calibrated parameter vectors, derived once per batch miss that needs
-  // any: they depend on the tenant's calibration and the allocation only.
-  std::vector<int> miss_params(misses->size(), -1);
-  std::vector<simdb::EngineParams> params;
-  for (ClassTask& task : tasks) {
-    task.params.reserve(task.source.size());
-    for (size_t m : task.source) {
-      int& p = miss_params[m];
-      if (p < 0) {
-        const Miss& miss = (*misses)[m];
-        p = static_cast<int>(params.size());
-        params.push_back(
-            tenants_[static_cast<size_t>(miss.tenant)].calibration->ParamsFor(
-                miss.r, machine_.VmMemoryMb(miss.r)));
-      }
-      task.params.push_back(params[static_cast<size_t>(p)]);
-    }
-  }
-
-  auto run_task = [&](size_t ti) {
-    const ClassTask& task = tasks[ti];
-    StatementClass& cls = classes_[static_cast<size_t>(task.cls)];
-    std::vector<simdb::OptimizeResult> results =
-        cls.engine->WhatIfOptimizeGrid(cls.query, task.params);
-    for (size_t j = 0; j < results.size(); ++j) {
-      auto it = std::find(cls.signatures.begin(), cls.signatures.end(),
-                          results[j].signature);
-      const auto sig = static_cast<int32_t>(it - cls.signatures.begin());
-      if (it == cls.signatures.end()) {
-        cls.signatures.push_back(std::move(results[j].signature));
-      }
-      evals[task.evals[j]] = Eval{results[j].native_cost, sig};
+      miss.signature = std::move(signature);
     }
   };
-  if (tasks.size() > 1) {
-    // Largest classes first (LPT): one big class picked up last would
-    // leave one worker grinding alone at the tail.
-    std::vector<size_t> order(tasks.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return tasks[a].evals.size() > tasks[b].evals.size();
-    });
-    pool()->ParallelForOrder(order, run_task);
-  } else if (tasks.size() == 1) {
-    run_task(0);
-  }
-  optimizer_calls_.fetch_add(priced, std::memory_order_relaxed);
 
-  // Settle the claimed slots.
-  for (const ClassTask& task : tasks) {
-    for (size_t j = 0; j < task.evals.size(); ++j) {
-      MemoEntry* e = MemoSlot(task.cls, miss_alloc[task.source[j]]);
-      e->native_cost = evals[task.evals[j]].native_cost;
-      e->signature = evals[task.evals[j]].signature;
+  {
+    std::shared_lock lock(memo_->mu_);
+    for (size_t m = 0; m < n; ++m) {
+      const Tenant& t = tenants_[static_cast<size_t>((*misses)[m].tenant)];
+      const std::vector<int>& ids =
+          tenant_classes_[static_cast<size_t>((*misses)[m].tenant)];
+      const int32_t alloc = memo_->FindAllocation(shares[m]);
+      for (size_t s = 0; s < ids.size(); ++s) {
+        const int32_t c = ids[s];
+        const StatementMemo::Entry* hit =
+            alloc < 0 ? nullptr : memo_->Find(c, alloc);
+        if (hit != nullptr) {
+          refs.push_back(evals.size());
+          evals.push_back(Eval{hit->native_cost, hit->signature, c, m});
+          continue;
+        }
+        if (pending.empty()) {
+          pending.assign(std::max<size_t>(16, std::bit_ceil(2 * statements)),
+                         -1);
+        }
+        const size_t slot =
+            ProbeSlot(pending, Mix(hashes[m] + static_cast<uint64_t>(c)),
+                      [&](int32_t e) {
+                        const Eval& other = evals[static_cast<size_t>(e)];
+                        return other.cls == c && shares[other.miss] == shares[m];
+                      });
+        if (pending[slot] < 0) {
+          pending[slot] = static_cast<int32_t>(evals.size());
+          if (static_cast<size_t>(c) >= task_of.size()) {
+            task_of.resize(static_cast<size_t>(c) + 1, -1);
+          }
+          int& ti = task_of[static_cast<size_t>(c)];
+          if (ti < 0) {
+            ti = static_cast<int>(tasks.size());
+            tasks.push_back(ClassTask{c, t.engine,
+                                      &t.workload.statements[s].query,
+                                      {}, {}, {}});
+          }
+          tasks[static_cast<size_t>(ti)].evals.push_back(evals.size());
+          evals.push_back(Eval{0.0, -1, c, m});
+        }
+        refs.push_back(static_cast<size_t>(pending[slot]));
+      }
     }
+    if (tasks.empty()) sign();
   }
 
-  // Assemble per-miss totals in statement order — the accumulation and
-  // concatenation sequence every estimate has always used.
+  if (!tasks.empty()) {
+    // Calibrated parameter vectors, derived once per batch miss that
+    // needs any: they depend on the class's calibration (the miss's
+    // tenant's) and the allocation only.
+    std::vector<int> miss_params(n, -1);
+    std::vector<simdb::EngineParams> params;
+    size_t priced = 0;
+    for (ClassTask& task : tasks) {
+      task.params.reserve(task.evals.size());
+      for (size_t e : task.evals) {
+        const size_t m = evals[e].miss;
+        int& p = miss_params[m];
+        if (p < 0) {
+          const Miss& miss = (*misses)[m];
+          p = static_cast<int>(params.size());
+          params.push_back(
+              tenants_[static_cast<size_t>(miss.tenant)].calibration->ParamsFor(
+                  miss.r, machine_.VmMemoryMb(miss.r)));
+        }
+        task.params.push_back(params[static_cast<size_t>(p)]);
+      }
+      priced += task.evals.size();
+    }
+
+    // Price with no memo lock held. Each task keeps only the costs and
+    // signatures, so its plans are freed on the thread that built them.
+    auto run_task = [&](size_t ti) {
+      ClassTask& task = tasks[ti];
+      std::vector<simdb::OptimizeResult> results =
+          task.engine->WhatIfOptimizeGrid(*task.query, task.params);
+      task.signatures.reserve(results.size());
+      for (size_t j = 0; j < results.size(); ++j) {
+        evals[task.evals[j]].native_cost = results[j].native_cost;
+        task.signatures.push_back(std::move(results[j].signature));
+      }
+    };
+    if (tasks.size() > 1) {
+      // Largest classes first (LPT): one big class picked up last would
+      // leave one worker grinding alone at the tail.
+      std::vector<size_t> order(tasks.size());
+      std::iota(order.begin(), order.end(), size_t{0});
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return tasks[a].evals.size() > tasks[b].evals.size();
+      });
+      pool()->ParallelForOrder(order, run_task);
+    } else {
+      run_task(0);
+    }
+    optimizer_calls_.fetch_add(static_cast<long>(priced),
+                               std::memory_order_relaxed);
+
+    std::unique_lock lock(memo_->mu_);
+    memo_->Reserve(priced);
+    for (ClassTask& task : tasks) {
+      for (size_t j = 0; j < task.evals.size(); ++j) {
+        Eval& e = evals[task.evals[j]];
+        const StatementMemo::Entry& entry =
+            memo_->Publish(task.cls, shares[e.miss], e.native_cost,
+                           std::move(task.signatures[j]));
+        e.native_cost = entry.native_cost;
+        e.signature = entry.signature;
+      }
+    }
+    sign();
+  }
+
+  // Per-miss totals in statement order — the accumulation sequence every
+  // estimate has always used.
   size_t ref = 0;
   for (Miss& miss : *misses) {
     const Tenant& t = tenants_[static_cast<size_t>(miss.tenant)];
-    const std::vector<int>& ids =
-        tenant_classes_[static_cast<size_t>(miss.tenant)];
     double total = 0.0;
-    std::string signature;
-    for (size_t s = 0; s < ids.size(); ++s, ++ref) {
-      const Eval& e = evals[refs[ref]];
-      total += t.calibration->ToSeconds(e.native_cost, miss.r) *
-               t.workload.statements[s].frequency;
-      signature += classes_[static_cast<size_t>(ids[s])]
-                       .signatures[static_cast<size_t>(e.signature)];
-      signature += ';';
+    for (const simdb::WorkloadStatement& stmt : t.workload.statements) {
+      total += t.calibration->ToSeconds(evals[refs[ref++]].native_cost,
+                                        miss.r) *
+               stmt.frequency;
     }
     miss.est = total;
-    miss.signature = std::move(signature);
   }
 }
 
@@ -468,8 +610,9 @@ std::vector<double> WhatIfCostEstimator::EstimateAll(
     }
   }
 
-  // One pricing at a time: the pool rejects concurrent ParallelFor
-  // submissions, and the statement memo is guarded by the same mutex.
+  // One pricing at a time per estimator: the pool rejects concurrent
+  // ParallelFor submissions, and tenant_classes_ is guarded by the same
+  // mutex.
   if (!misses.empty()) {
     std::lock_guard batch_lock(batch_mu_);
     PriceMisses(&misses);

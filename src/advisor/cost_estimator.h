@@ -5,8 +5,9 @@
 // optimizer in what-if mode through the calibrated R -> P mapping, behind
 // two caches: a per-(tenant, allocation) cache of workload totals (the
 // greedy search revisits allocations constantly) and a per-(statement,
-// allocation) memo of optimizer costs that tenants share and that
-// outlives workload drift. Every estimate is also logged as an
+// allocation) memo of optimizer costs (StatementMemo) that tenants share,
+// that outlives workload drift, and that estimators on machines of one
+// class can share. Every estimate is also logged as an
 // observation — the (R, Est, plan-signature) stream from which online
 // refinement later derives its piecewise models (§5.1: "we use the
 // candidate resource allocations encountered during configuration
@@ -17,6 +18,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -121,41 +123,176 @@ struct WhatIfEstimatorOptions {
   int batch_threads = 0;
 };
 
+/// \brief The statement memo: (statement class, exact canonical
+/// allocation) -> (native optimizer cost, plan signature), where a
+/// statement class is (engine, calibration, QuerySpec by value).
+///
+/// A statement's cost at R depends on neither the tenant that runs it nor
+/// its frequency, nor on which machine of one class prices it, so one memo
+/// can serve several estimators. Every WhatIfCostEstimator prices through
+/// one: its own, unless its constructor is handed one. FleetAdvisor hands
+/// every bin solve of a plan the memo of its machine class.
+///
+/// The memo pins the machine fields its values read: memory_mb (through
+/// VmMemoryMb) and the resource model. Only an estimator on a machine
+/// equal in both may attach (a VDBA_CHECK in the estimator's constructor).
+///
+/// Estimators reference the classes of their tenants' statements (with
+/// counts). A class's entries and signatures go with its last reference:
+/// a workload change, a replaced tenant or a destroyed estimator.
+///
+/// Thread safety: all state is guarded by one reader-writer lock, which a
+/// pricing batch takes per batch, never per lookup: it resolves its
+/// (statement, allocation) pairs under the shared lock, prices the misses
+/// with the lock released, and publishes them under the exclusive lock. If
+/// another batch published an entry meanwhile, that entry is kept (the
+/// values are equal). Nothing read under the lock is held across the
+/// release but class ids and signature indices: the batch's own class
+/// references keep both valid (a live class's signatures only grow).
+/// Allocation indices are not: dropping a class renumbers them.
+class StatementMemo {
+ public:
+  /// A memo for estimators on machines with `machine`'s memory_mb and
+  /// resource model.
+  explicit StatementMemo(const simvm::PhysicalMachine& machine);
+
+  /// Whether an estimator on `machine` may price through this memo: its
+  /// memory_mb and resource model equal the memo's.
+  bool Fits(const simvm::PhysicalMachine& machine) const;
+
+  /// Entries held (for tests and memory accounting).
+  size_t entries() const;
+  /// Statement classes some estimator references.
+  size_t classes() const;
+
+ private:
+  friend class WhatIfCostEstimator;
+  using Shares = std::array<double, simvm::kMaxResourceDims>;
+
+  /// What a statement's what-if cost depends on besides the allocation and
+  /// the pinned machine fields. A slot whose `refs` is 0 is free and holds
+  /// nothing.
+  struct StatementClass {
+    const simdb::DbEngine* engine = nullptr;
+    const calib::CalibrationModel* calibration = nullptr;
+    simdb::QuerySpec query;
+    /// Tenant statements resolved to this class, over all estimators.
+    int refs = 0;
+    /// Distinct plan signatures of this class's entries.
+    std::vector<std::string> signatures;
+  };
+  /// One table slot: a statement class priced at one of the memo's
+  /// allocations.
+  struct Entry {
+    double native_cost;
+    int32_t alloc;      ///< index into allocs_
+    int32_t cls;        ///< statement class; -1 marks an empty slot
+    int32_t signature;  ///< index into the class's signatures
+  };
+
+  // Reference counting; each takes the exclusive lock.
+  /// Resolves `t`'s statements to classes (statement s tries previous[s]
+  /// first), then releases `previous`.
+  std::vector<int> Resolve(const Tenant& t, const std::vector<int>& previous);
+  /// Releases one reference per id, dropping the entries of every class
+  /// left unreferenced.
+  void Release(std::span<const int> classes);
+
+  // Batch access; the caller holds mu_ (shared suffices).
+  /// The index of `shares` in allocs_, or -1.
+  int32_t FindAllocation(const Shares& shares) const;
+  /// The entry of (cls, alloc), or null.
+  const Entry* Find(int32_t cls, int32_t alloc) const;
+  const std::string& signature(int32_t cls, int32_t signature) const {
+    return classes_[static_cast<size_t>(cls)]
+        .signatures[static_cast<size_t>(signature)];
+  }
+
+  // Publishing; the caller holds mu_ exclusively.
+  /// Sizes the table for `more` new entries, so it stays at most 3/4 full.
+  void Reserve(size_t more);
+  /// The entry of (cls, shares): an existing one is kept, else one is
+  /// added with `native_cost` and `signature`. Call Reserve first.
+  const Entry& Publish(int32_t cls, const Shares& shares, double native_cost,
+                       std::string signature);
+
+  // Internals; the caller holds mu_ exclusively (AllocSlot and EntrySlot
+  // only read).
+  int AcquireClass(const Tenant& t, const simdb::QuerySpec& query, int hint);
+  /// Releases `classes`; true when one was left unreferenced.
+  bool ReleaseClasses(std::span<const int> classes);
+  /// The alloc_index_ slot holding `shares`, or the empty one where it
+  /// belongs.
+  size_t AllocSlot(const Shares& shares) const;
+  /// Index of `shares` in allocs_, appended if new.
+  int32_t InternAllocation(const Shares& shares);
+  /// The table slot holding (cls, alloc), or the empty one where it
+  /// belongs.
+  size_t EntrySlot(int32_t cls, int32_t alloc) const;
+  /// Rehashes the entries into `capacity` slots (a power of two).
+  void Rebuild(size_t capacity);
+  /// Drops the entries of unreferenced classes, and the allocations no
+  /// entry prices any more.
+  void DropDeadEntries();
+
+  const double memory_mb_;
+  const simvm::ResourceModel* const resources_;
+  mutable std::shared_mutex mu_;
+  std::vector<StatementClass> classes_;
+  /// The distinct canonical allocations the entries price, indexed by an
+  /// open-addressing table of their positions (-1 marks an empty slot).
+  std::vector<Shares> allocs_;
+  std::vector<int32_t> alloc_index_;
+  /// Open-addressing table over (class, allocation): linear probing,
+  /// power-of-two size. A deque, so even a large table is small blocks:
+  /// glibc serves a large block with mmap, and freeing it raises the
+  /// mmap threshold and with it the free memory every malloc arena keeps
+  /// (a fleet plan's memos grow past 128 KiB; as one vector they raised
+  /// fleet_plan's peak RSS by about 2 MiB).
+  std::deque<Entry> table_;
+  size_t size_ = 0;
+};
+
 /// \brief Calibrated what-if estimator over a set of tenants.
 ///
 /// A tenant's estimate at R is the frequency-weighted sum of its
 /// statements' calibrated optimizer costs at R (§4.1). Two caches sit in
 /// front of the optimizer:
 ///  - the tenant cache maps (tenant, R quantized to 0.1%) to the workload
-///    total. A hit is one lookup; InvalidateTenant drops a tenant's
-///    entries with its observation log.
-///  - the statement memo maps (statement class, exact canonical R) to
-///    the statement's native cost and plan signature, where a statement
-///    class is (engine, calibration, QuerySpec by value). A statement's
-///    cost at R depends on neither the tenant that runs it nor its
-///    frequency, so tenants running the same statement share entries,
-///    and a workload change keeps them: InvalidateTenant never touches
-///    the memo, and a frequency-only drift re-prices from it without an
-///    optimizer call. Entries of a class go when no tenant statement
-///    references it any more (SetWorkload / ReplaceTenant).
+///    total. It is the estimator's own: a hit is one lookup, and
+///    InvalidateTenant drops a tenant's entries with its observation log.
+///  - the statement memo (StatementMemo) maps (statement class, exact
+///    canonical R) to the statement's native cost and plan signature.
+///    Tenants running the same statement share entries, and a workload
+///    change keeps them: InvalidateTenant never touches the memo, and a
+///    frequency-only drift re-prices from it without an optimizer call.
+///    The estimator owns a private memo unless its constructor is handed
+///    a shared one, which other estimators on machines of the same class
+///    read and fill too.
 /// A tenant-cache miss sums its statements in statement order from the
 /// memo, pricing the memo's own misses first with one WhatIfOptimizeGrid
 /// per statement class, so every estimate, observation and cache-hit
-/// count equals a run without the memo.
+/// count equals a run without the memo, shared or not.
 ///
 /// Thread safety: concurrent EstimateSeconds / EstimateBatch /
 /// EstimateMany calls from multiple threads are safe — the tenant cache
-/// is sharded under reader-writer locks, the statement memo is read and
-/// written only under one pricing mutex, the observation log and
-/// counters are internally synchronized, and the what-if computation
-/// itself is pure. The mutators below are not safe concurrently with
-/// estimation of the tenant they change; see InvalidateTenant for what
-/// may race.
+/// is sharded under reader-writer locks, miss pricing is serialized per
+/// estimator by one mutex (taken before the memo's lock), the memo has its
+/// own reader-writer lock, the observation log and counters are
+/// internally synchronized, and the what-if computation itself is pure.
+/// Estimators sharing a memo may run on different threads. The mutators
+/// below are not safe concurrently with estimation of the tenant they
+/// change; see InvalidateTenant for what may race.
 class WhatIfCostEstimator : public CostEstimator {
  public:
+  /// \param memo The statement memo to price through; null gives the
+  ///   estimator a private one. A shared memo must fit `machine` (see
+  ///   StatementMemo::Fits).
   WhatIfCostEstimator(const simvm::PhysicalMachine& machine,
                       std::vector<Tenant> tenants,
-                      WhatIfEstimatorOptions options = WhatIfEstimatorOptions());
+                      WhatIfEstimatorOptions options = WhatIfEstimatorOptions(),
+                      std::shared_ptr<StatementMemo> memo = nullptr);
+  /// Releases the tenants' statement classes in a shared memo.
   ~WhatIfCostEstimator() override;
 
   /// A tenant-cache hit is one lookup; a miss is priced as a one-item
@@ -172,8 +309,8 @@ class WhatIfCostEstimator : public CostEstimator {
   /// class, memory-context group) over every distinct allocation the
   /// batch needs of that class, classes fanned out over the thread pool,
   /// largest first. Results, cache state, observation logs, and the
-  /// optimizer-call/cache-hit counters are exactly those of the
-  /// equivalent sequential run.
+  /// cache-hit counter are exactly those of the equivalent sequential
+  /// run.
   std::vector<double> EstimateMany(
       std::span<const TenantAllocation> batch) override;
 
@@ -206,8 +343,8 @@ class WhatIfCostEstimator : public CostEstimator {
   /// other tenants' entries stay valid across the erases), and estimates
   /// are pure functions of (machine, tenant, allocation) — so a racing
   /// disjoint reader can at worst recompute a value, never read a wrong
-  /// one. SetWorkload's statement bookkeeping and memo eviction run
-  /// under the same mutex as the memo's readers. (Tested by
+  /// one. SetWorkload's statement bookkeeping runs under the pricing
+  /// mutex, and the memo's under the memo's exclusive lock. (Tested by
   /// vectorized_probe_test InvalidateTenantIsSafeUnderDisjointReaders.)
   void InvalidateTenant(int tenant);
 
@@ -226,10 +363,14 @@ class WhatIfCostEstimator : public CostEstimator {
     return observations_[static_cast<size_t>(tenant)];
   }
 
-  /// Statement evaluations the optimizer actually ran: one per (statement
-  /// class, allocation) the statement memo did not hold. Tenants sharing
-  /// a statement, and re-pricings after a drift that kept a statement,
-  /// cost none.
+  /// Statement evaluations this estimator's optimizer calls ran: one per
+  /// (statement class, allocation) that the memo did not hold when the
+  /// batch looked it up. Tenants sharing a statement, and re-pricings
+  /// after a drift that kept a statement, cost none. Estimators sharing a
+  /// memo split the evaluations between them by timing: two batches that
+  /// miss the same pair at the same moment both price it (the first to
+  /// publish keeps its entry), so the per-estimator counts can vary from
+  /// run to run. The values never do.
   long optimizer_calls() const {
     return optimizer_calls_.load(std::memory_order_relaxed);
   }
@@ -237,8 +378,11 @@ class WhatIfCostEstimator : public CostEstimator {
   long cache_hits() const {
     return cache_hits_.load(std::memory_order_relaxed);
   }
+  /// The statement memo this estimator prices through (to attach other
+  /// estimators on machines of its class).
+  const std::shared_ptr<StatementMemo>& memo() const { return memo_; }
   /// Entries in the statement memo (for tests and memory accounting).
-  size_t memo_entries() const;
+  size_t memo_entries() const { return memo_->entries(); }
 
  private:
   struct CacheKey {
@@ -260,28 +404,6 @@ class WhatIfCostEstimator : public CostEstimator {
   /// Cache-key quantization granularity in share units (0.1%; the
   /// enumerator moves in much larger steps, default 5%).
   static constexpr double kCacheGranularity = 0.001;
-
-  /// What a statement's what-if cost depends on besides the allocation
-  /// (the machine is fixed per estimator). A slot whose `refs` is 0 is
-  /// free and holds nothing.
-  struct StatementClass {
-    const simdb::DbEngine* engine = nullptr;
-    const calib::CalibrationModel* calibration = nullptr;
-    simdb::QuerySpec query;
-    /// Tenant statements resolved to this class.
-    int refs = 0;
-    /// Distinct plan signatures of this class's memo entries.
-    std::vector<std::string> signatures;
-  };
-  using Shares = std::array<double, simvm::kMaxResourceDims>;
-  /// One statement-memo slot: a statement class priced at one of the
-  /// memo's allocations.
-  struct MemoEntry {
-    double native_cost;
-    int32_t alloc;      ///< index into memo_allocs_
-    int32_t cls;        ///< statement class; -1 marks an empty slot
-    int32_t signature;  ///< index into the class's signatures
-  };
 
   struct Miss;  // one distinct uncached probe of an EstimateMany batch
 
@@ -311,22 +433,10 @@ class WhatIfCostEstimator : public CostEstimator {
                 const simvm::ResourceVector& r, double est,
                 std::string signature);
   ThreadPool* pool();
-
-  // Statement classes and the memo; all under batch_mu_.
-  /// Resolves tenant `tenant`'s statements to classes (matching its
-  /// previous classes first), then releases the previous ones and drops
-  /// the memo entries of every class left unreferenced.
+  /// Resolves tenant `tenant`'s statements to memo classes (matching its
+  /// previous classes first) and releases the previous ones. Caller holds
+  /// batch_mu_.
   void ResolveStatements(int tenant);
-  int AcquireClass(const Tenant& t, const simdb::QuerySpec& query, int hint);
-  /// Index of `shares` in memo_allocs_, appended if new.
-  int32_t InternAllocation(const Shares& shares);
-  /// The slot holding (cls, alloc), or the empty slot where it belongs.
-  MemoEntry* MemoSlot(int32_t cls, int32_t alloc);
-  /// Rehashes the memo's entries into `capacity` slots (a power of two).
-  void RebuildMemo(size_t capacity);
-  /// Drops the entries of unreferenced classes, and the allocations no
-  /// entry prices any more.
-  void DropDeadEntries();
 
   simvm::PhysicalMachine machine_;
   WhatIfEstimatorOptions options_;
@@ -336,24 +446,16 @@ class WhatIfCostEstimator : public CostEstimator {
   std::array<CacheShard, kCacheShards> cache_shards_;
   std::mutex pool_mu_;
   std::unique_ptr<ThreadPool> pool_;  ///< Lazily created on first batch.
-  /// Serializes miss pricing, and guards the statement classes and memo
-  /// below: ThreadPool rejects concurrent ParallelFor submissions, so
-  /// when several threads hit EstimateMany at once, one prices its misses
-  /// while the others wait their turn (values are deterministic, so
-  /// recomputing a key another batch already filled is wasted work at
-  /// worst, never a wrong answer).
+  /// Serializes this estimator's miss pricing, and guards tenant_classes_:
+  /// ThreadPool rejects concurrent ParallelFor submissions, so when
+  /// several threads hit EstimateMany at once, one prices its misses while
+  /// the others wait their turn (values are deterministic, so recomputing
+  /// a key another batch already filled is wasted work at worst, never a
+  /// wrong answer). Always taken before the memo's lock.
   mutable std::mutex batch_mu_;
-  std::vector<StatementClass> classes_;
-  /// Per tenant, the class of each workload statement.
+  std::shared_ptr<StatementMemo> memo_;
+  /// Per tenant, the memo class of each workload statement.
   std::vector<std::vector<int>> tenant_classes_;
-  /// The distinct canonical allocations the memo prices, indexed by an
-  /// open-addressing table of their positions (-1 marks an empty slot).
-  std::vector<Shares> memo_allocs_;
-  std::vector<int32_t> alloc_index_;
-  /// Open-addressing table over (class, allocation): linear probing,
-  /// power-of-two size.
-  std::vector<MemoEntry> memo_;
-  size_t memo_size_ = 0;
   std::atomic<long> optimizer_calls_{0};
   std::atomic<long> cache_hits_{0};
 };

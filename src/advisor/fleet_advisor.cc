@@ -267,7 +267,31 @@ FleetAdvisor::FleetAdvisor(std::vector<FleetMachine> machines,
   }
 }
 
+/// The plan memo of each machine class: the statement memo the class's
+/// demand probe filled, which every bin solve on a machine of the class
+/// prices through until the plan returns. Each memo's anchor references
+/// every statement class a bin of the machine class can use: without
+/// it, a memo would empty whenever no bin estimator is alive, for
+/// instance between two migration attempts.
+struct FleetAdvisor::PlanMemos {
+  /// One per machine class, in order of the classes' first machines.
+  std::vector<std::unique_ptr<WhatIfCostEstimator>> anchors;
+  /// Per machine, its class: an index into anchors.
+  std::vector<size_t> class_of;
+
+  /// Machine m's memo; null before a demand probe (single-machine
+  /// fleets), which gives every solve a private memo.
+  std::shared_ptr<StatementMemo> For(int m) const {
+    if (anchors.empty()) return nullptr;
+    return anchors[class_of[static_cast<size_t>(m)]]->memo();
+  }
+};
+
 std::vector<std::vector<double>> FleetAdvisor::ProbeDemandMatrix() {
+  return ProbeDemand(nullptr);
+}
+
+std::vector<std::vector<double>> FleetAdvisor::ProbeDemand(PlanMemos* memos) {
   const int t = num_tenants();
   const int p = num_machines();
   if (pool_ == nullptr && p > 1) {
@@ -277,23 +301,25 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemandMatrix() {
   std::vector<std::vector<double>> demand(
       static_cast<size_t>(t), std::vector<double>(static_cast<size_t>(p)));
 
-  // Machine-class memo: rep[m] = index of the first machine of m's class.
-  // Only representatives are probed; classmates copy the column (their
-  // estimates are bit-identical — see SameMachineClass).
-  std::vector<size_t> rep(static_cast<size_t>(p));
+  // Machine classes: probe_list holds each class's first machine, and
+  // class_of[m] is machine m's class. Only those first machines are
+  // probed; classmates copy the column (their estimates are bit-identical
+  // — see SameMachineClass). With `memos`, each class's probe memo is
+  // kept as its plan memo.
+  std::vector<size_t> class_of(static_cast<size_t>(p), 0);
   std::vector<size_t> probe_list;
   for (int m = 0; m < p; ++m) {
-    size_t r = static_cast<size_t>(m);
-    for (size_t e : probe_list) {
-      if (SameMachineClass(machines_[e], machines_[static_cast<size_t>(m)])) {
-        r = e;
-        break;
-      }
+    size_t c = 0;
+    while (c < probe_list.size() &&
+           !SameMachineClass(machines_[probe_list[c]],
+                             machines_[static_cast<size_t>(m)])) {
+      ++c;
     }
-    rep[static_cast<size_t>(m)] = r;
-    if (r == static_cast<size_t>(m)) probe_list.push_back(r);
+    if (c == probe_list.size()) probe_list.push_back(static_cast<size_t>(m));
+    class_of[static_cast<size_t>(m)] = c;
   }
   demand_columns_probed_ = static_cast<int>(probe_list.size());
+  if (memos != nullptr) memos->anchors.resize(probe_list.size());
 
   // Columns fan across the fleet pool, so each machine's demand estimator
   // gets the smallest pool of its own: one worker, joined by the calling
@@ -308,8 +334,7 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemandMatrix() {
     for (int i = 0; i < t; ++i) {
       bound.push_back(machine.Bind(tenants_[static_cast<size_t>(i)]));
     }
-    WhatIfCostEstimator estimator(machine.hardware, std::move(bound),
-                                  est_opts);
+    WhatIfCostEstimator estimator(machine.hardware, bound, est_opts);
     const int dims = machine.hardware.resources->dims();
     std::vector<TenantAllocation> probes;
     probes.reserve(static_cast<size_t>(t));
@@ -320,6 +345,32 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemandMatrix() {
     for (int i = 0; i < t; ++i) {
       demand[static_cast<size_t>(i)][m] = est[static_cast<size_t>(i)];
     }
+    if (memos == nullptr) return;
+    // The anchor references each of the probe's statement classes once
+    // (the plan keeps a few statements, not a copy of every tenant). It
+    // never estimates, so unlike the probe estimator it keeps no pool
+    // thread alive through the plan: an idle thread pins a malloc arena.
+    std::vector<Tenant> anchor;
+    for (Tenant& tenant : bound) {
+      auto anchored = [&](const simdb::WorkloadStatement& stmt) {
+        return std::any_of(anchor.begin(), anchor.end(), [&](const Tenant& a) {
+          return a.engine == tenant.engine &&
+                 a.calibration == tenant.calibration &&
+                 std::any_of(a.workload.statements.begin(),
+                             a.workload.statements.end(),
+                             [&](const simdb::WorkloadStatement& held) {
+                               return held.query == stmt.query;
+                             });
+        });
+      };
+      std::erase_if(tenant.workload.statements, anchored);
+      // An estimator needs a tenant, even one with no statements.
+      if (!tenant.workload.statements.empty() || anchor.empty()) {
+        anchor.push_back(std::move(tenant));
+      }
+    }
+    memos->anchors[pi] = std::make_unique<WhatIfCostEstimator>(
+        machine.hardware, std::move(anchor), est_opts, estimator.memo());
   };
   if (pool_ != nullptr && probe_list.size() > 1) {
     pool_->ParallelFor(probe_list.size(), probe_machine);
@@ -327,20 +378,22 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemandMatrix() {
     for (size_t pi = 0; pi < probe_list.size(); ++pi) probe_machine(pi);
   }
 
-  // Copy representative columns to classmates.
+  // Copy each class's column to its other machines.
   for (int m = 0; m < p; ++m) {
-    const size_t r = rep[static_cast<size_t>(m)];
+    const size_t r = probe_list[class_of[static_cast<size_t>(m)]];
     if (r == static_cast<size_t>(m)) continue;
     for (int i = 0; i < t; ++i) {
       demand[static_cast<size_t>(i)][static_cast<size_t>(m)] =
           demand[static_cast<size_t>(i)][r];
     }
   }
+  if (memos != nullptr) memos->class_of = std::move(class_of);
   return demand;
 }
 
 FleetAdvisor::BinState FleetAdvisor::SolveBin(
-    int machine, std::vector<int> tenant_ids) const {
+    int machine, std::vector<int> tenant_ids,
+    std::shared_ptr<StatementMemo> memo) const {
   BinState bin;
   bin.tenant_ids = std::move(tenant_ids);
   if (bin.tenant_ids.empty()) return bin;  // idle box
@@ -361,7 +414,8 @@ FleetAdvisor::BinState FleetAdvisor::SolveBin(
     // makes results thread-count invariant, so this changes no value.
     adv_opts.estimator.batch_threads = 1;
   }
-  VirtualizationDesignAdvisor adv(fm.hardware, std::move(bound), adv_opts);
+  VirtualizationDesignAdvisor adv(fm.hardware, std::move(bound), adv_opts,
+                                  std::move(memo));
   bin.rec = adv.Recommend();
 
   for (size_t j = 0; j < bin.tenant_ids.size(); ++j) {
@@ -388,6 +442,7 @@ FleetRecommendation FleetAdvisor::Recommend() {
   result.strategy = options_.advisor.search.strategy;
 
   // --- Placement ---------------------------------------------------------
+  PlanMemos memos;
   if (p == 1) {
     // Trivial fleet: skip the demand probes so the single-PM path does
     // exactly what a standalone advisor does.
@@ -395,7 +450,7 @@ FleetRecommendation FleetAdvisor::Recommend() {
   } else {
     PlacementInput input;
     input.num_machines = p;
-    input.demand = ProbeDemandMatrix();
+    input.demand = ProbeDemand(&memos);
     // Balanced-load capacity: distributing work proportionally to machine
     // speed gives every box the same local-seconds load W / sum(speed);
     // headroom scales that shared target.
@@ -435,7 +490,8 @@ FleetRecommendation FleetAdvisor::Recommend() {
   }
   std::vector<BinState> solved(static_cast<size_t>(p));
   auto solve = [&](size_t m) {
-    solved[m] = SolveBin(static_cast<int>(m), bins[m]);
+    solved[m] = SolveBin(static_cast<int>(m), bins[m],
+                         memos.For(static_cast<int>(m)));
   };
   if (pool_ != nullptr && p > 1) {
     pool_->ParallelFor(static_cast<size_t>(p), solve);
@@ -490,15 +546,17 @@ FleetRecommendation FleetAdvisor::Recommend() {
         dst_ids.insert(
             std::upper_bound(dst_ids.begin(), dst_ids.end(), mover), mover);
 
-        // Cold re-solve of both bins, side by side on the fleet pool. Each
-        // SolveBin is const and fans out on its own estimator's pool, so
-        // the pair gives the same bins as solving one after the other.
+        // Re-solve of both bins, side by side on the fleet pool: cold
+        // tenant caches over the warm plan memos. Each SolveBin is const
+        // and fans out on its own estimator's pool, and the memos hold
+        // values only, so the pair gives the same bins as solving one
+        // after the other.
         BinState new_src, new_dst;
         pool_->ParallelFor(2, [&](size_t k) {
           if (k == 0) {
-            new_src = SolveBin(src, std::move(src_ids));
+            new_src = SolveBin(src, std::move(src_ids), memos.For(src));
           } else {
-            new_dst = SolveBin(dst, std::move(dst_ids));
+            new_dst = SolveBin(dst, std::move(dst_ids), memos.For(dst));
           }
         });
         if (AcceptMove(old_pair_cost, old_violations,

@@ -312,9 +312,16 @@ class FleetAdvisor {
 
  private:
   struct BinState;
+  struct PlanMemos;
 
-  /// Solves one bin and probes its per-dimension saturation relief.
-  BinState SolveBin(int machine, std::vector<int> tenant_ids) const;
+  /// ProbeDemandMatrix; with `memos` (may be null), also keeps each
+  /// machine class's probe memo there as that class's plan memo, with its
+  /// anchor.
+  std::vector<std::vector<double>> ProbeDemand(PlanMemos* memos);
+  /// Solves one bin, pricing through `memo` (null: a private one), and
+  /// probes its per-dimension saturation relief.
+  BinState SolveBin(int machine, std::vector<int> tenant_ids,
+                    std::shared_ptr<StatementMemo> memo) const;
 
   std::vector<FleetMachine> machines_;
   std::vector<Tenant> tenants_;

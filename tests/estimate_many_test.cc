@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -452,6 +453,144 @@ TEST_F(EstimateManyTest, MemoDropsAClassWithItsLastStatement) {
   est.EstimateMany(batch);
   EXPECT_EQ(est.optimizer_calls() - calls_before, 6);  // DB2 Q1 + Q18, x3
   EXPECT_EQ(est.memo_entries(), 9u);
+}
+
+/// The distinct (engine, calibration, statement, allocation) evaluations
+/// pricing `batch` of `tenants` from an empty memo needs.
+std::set<std::tuple<const void*, const void*, std::string, std::vector<double>>>
+PricedPairs(const std::vector<Tenant>& tenants,
+            const std::vector<TenantAllocation>& batch) {
+  std::set<std::tuple<const void*, const void*, std::string,
+                      std::vector<double>>>
+      pairs;
+  for (const TenantAllocation& item : batch) {
+    const Tenant& t = tenants[static_cast<size_t>(item.tenant)];
+    for (const simdb::WorkloadStatement& stmt : t.workload.statements) {
+      pairs.emplace(t.engine, t.calibration, stmt.query.name,
+                    item.r.Expanded(2).ToVector());
+    }
+  }
+  return pairs;
+}
+
+void ExpectSameObservations(const WhatIfCostEstimator& got,
+                            const WhatIfCostEstimator& want) {
+  ASSERT_EQ(got.num_tenants(), want.num_tenants());
+  for (int t = 0; t < want.num_tenants(); ++t) {
+    ASSERT_EQ(got.observations(t).size(), want.observations(t).size()) << t;
+    for (size_t i = 0; i < want.observations(t).size(); ++i) {
+      const WhatIfObservation& a = got.observations(t)[i];
+      const WhatIfObservation& b = want.observations(t)[i];
+      EXPECT_EQ(a.allocation, b.allocation) << t << " " << i;
+      EXPECT_EQ(a.est_seconds, b.est_seconds) << t << " " << i;
+      EXPECT_EQ(a.plan_signature, b.plan_signature) << t << " " << i;
+    }
+  }
+}
+
+TEST_F(EstimateManyTest, EstimatorsSharingAMemoMatchPrivateMemos) {
+  // Estimators attached to one statement memo see exactly what estimators
+  // with private memos see; only the optimizer's work moves: the second
+  // prices only the pairs the first did not.
+  const workload::TpchDatabase& db = tb_.tpch_sf1();
+  const std::vector<Tenant> first_tenants = {
+      tb_.MakeTenant(tb_.pg_sf1(), TpchWorkload(db, {1, 6, 18}, 2.0)),
+      tb_.MakeTenant(tb_.db2_sf1(), TpchWorkload(db, {6, 21}, 1.0))};
+  const std::vector<Tenant> second_tenants = {
+      // Shares PostgreSQL Q6 and Q18 with the first estimator.
+      tb_.MakeTenant(tb_.pg_sf1(), TpchWorkload(db, {6, 18, 21}, 1.5)),
+      // Shares DB2 Q21.
+      tb_.MakeTenant(tb_.db2_sf1(), TpchWorkload(db, {21}, 4.0))};
+  auto frontier = [](std::initializer_list<double> cpus) {
+    std::vector<TenantAllocation> batch;
+    for (double c : cpus) {
+      for (int t = 0; t < 2; ++t) {
+        batch.push_back({t, {c, 0.5}});
+        batch.push_back({t, {0.5, c}});
+      }
+    }
+    batch.push_back({1, {0.5, 0.5}});  // duplicate: cache hit
+    return batch;
+  };
+  const std::vector<TenantAllocation> first_batch = frontier({0.2, 0.5});
+  const std::vector<TenantAllocation> second_batch = frontier({0.5, 0.8});
+
+  WhatIfCostEstimator private_first(tb_.machine(), first_tenants);
+  WhatIfCostEstimator private_second(tb_.machine(), second_tenants);
+  const std::vector<double> want_first =
+      private_first.EstimateMany(first_batch);
+  const std::vector<double> want_second =
+      private_second.EstimateMany(second_batch);
+
+  auto first =
+      std::make_unique<WhatIfCostEstimator>(tb_.machine(), first_tenants);
+  WhatIfCostEstimator second(tb_.machine(), second_tenants,
+                             WhatIfEstimatorOptions(), first->memo());
+  EXPECT_EQ(first->EstimateMany(first_batch), want_first);
+  EXPECT_EQ(second.EstimateMany(second_batch), want_second);
+  ExpectSameObservations(*first, private_first);
+  ExpectSameObservations(second, private_second);
+  EXPECT_EQ(first->cache_hits(), private_first.cache_hits());
+  EXPECT_EQ(second.cache_hits(), private_second.cache_hits());
+
+  const auto first_pairs = PricedPairs(first_tenants, first_batch);
+  const auto second_pairs = PricedPairs(second_tenants, second_batch);
+  long new_pairs = 0;
+  for (const auto& pair : second_pairs) new_pairs += !first_pairs.count(pair);
+  EXPECT_EQ(first->optimizer_calls(), static_cast<long>(first_pairs.size()));
+  EXPECT_EQ(private_second.optimizer_calls(),
+            static_cast<long>(second_pairs.size()));
+  EXPECT_GT(static_cast<long>(second_pairs.size()), new_pairs);
+  EXPECT_EQ(second.optimizer_calls(), new_pairs);
+  EXPECT_EQ(second.memo_entries(), first_pairs.size() + new_pairs);
+
+  // Destroying the first keeps only the classes the second references
+  // (PostgreSQL Q6, Q18 and Q21, DB2 Q21), with every entry they have.
+  first.reset();
+  std::set<std::tuple<const void*, const void*, std::string>> classes;
+  for (const Tenant& t : second_tenants) {
+    for (const simdb::WorkloadStatement& stmt : t.workload.statements) {
+      classes.emplace(t.engine, t.calibration, stmt.query.name);
+    }
+  }
+  EXPECT_EQ(second.memo()->classes(), 4u);
+  auto priced = first_pairs;
+  priced.insert(second_pairs.begin(), second_pairs.end());
+  size_t kept = 0;
+  for (const auto& [engine, calibration, name, alloc] : priced) {
+    kept += classes.count({engine, calibration, name});
+  }
+  EXPECT_LT(kept, priced.size());
+  EXPECT_EQ(second.memo_entries(), kept);
+  // What stays is still right: the first tenants' own probes, re-run by
+  // the second estimator's tenants, reproduce the private values.
+  WhatIfCostEstimator reference(tb_.machine(), second_tenants);
+  EXPECT_EQ(second.EstimateMany(first_batch),
+            reference.EstimateMany(first_batch));
+}
+
+TEST_F(EstimateManyTest, OnlyAMachineOfTheMemosClassCanAttach) {
+  // The memo's values read the machine's memory (VmMemoryMb) and its
+  // resource model; a machine differing in either must not attach.
+  WhatIfCostEstimator owner(tb_.machine(), tenants_);
+  simvm::PhysicalMachine bigger = tb_.machine();
+  bigger.memory_mb *= 2.0;
+  EXPECT_DEATH(WhatIfCostEstimator(bigger, tenants_, WhatIfEstimatorOptions(),
+                                   owner.memo()),
+               "another machine class");
+  simvm::PhysicalMachine four_dims = tb_.machine();
+  four_dims.resources = &simvm::ResourceModel::CpuMemIoNet();
+  EXPECT_DEATH(WhatIfCostEstimator(four_dims, tenants_,
+                                   WhatIfEstimatorOptions(), owner.memo()),
+               "another machine class");
+  // Fields the values do not read may differ (the calibration, which is
+  // part of every statement class, carries the machine's speeds).
+  simvm::PhysicalMachine renamed = tb_.machine();
+  renamed.name = "renamed";
+  renamed.cpu_ops_per_sec *= 2.0;
+  WhatIfCostEstimator attached(renamed, tenants_, WhatIfEstimatorOptions(),
+                               owner.memo());
+  EXPECT_EQ(attached.memo(), owner.memo());
 }
 
 TEST(ThreadPoolOrderTest, ParallelForOrderCoversEveryIndexOnce) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -163,6 +164,78 @@ TEST(FleetAdvisorTest, RecommendationIsIdenticalAcrossThreadCounts) {
       SCOPED_TRACE(k);
       ExpectSameFleetRecommendation(got[0], got[k]);
     }
+  }
+}
+
+// Each machine's final recommendation must be bit-identical to a
+// standalone advisor solving that machine's final bin: the plan memos
+// every bin solve and migration re-solve of a plan price through hold
+// values only, so sharing them changes nothing.
+void ExpectBinsMatchStandaloneSolves(const std::vector<FleetMachine>& machines,
+                                     const std::vector<Tenant>& tenants,
+                                     const FleetRecommendation& got) {
+  ASSERT_EQ(got.machines.size(), machines.size());
+  AdvisorOptions alone_opts;
+  alone_opts.estimator.batch_threads = 1;
+  for (size_t m = 0; m < machines.size(); ++m) {
+    SCOPED_TRACE("machine " + std::to_string(m));
+    const MachineRecommendation& bin = got.machines[m];
+    if (bin.tenants.empty()) continue;
+    std::vector<Tenant> bound;
+    for (int id : bin.tenants) {
+      bound.push_back(machines[m].Bind(tenants[static_cast<size_t>(id)]));
+    }
+    const Recommendation want =
+        VirtualizationDesignAdvisor(machines[m].hardware, std::move(bound),
+                                    alone_opts)
+            .Recommend();
+    EXPECT_EQ(bin.recommendation.allocations, want.allocations);
+    EXPECT_EQ(bin.recommendation.estimated_seconds, want.estimated_seconds);
+    EXPECT_EQ(bin.recommendation.objective, want.objective);
+    EXPECT_EQ(bin.recommendation.iterations, want.iterations);
+    EXPECT_EQ(bin.recommendation.violated_qos, want.violated_qos);
+  }
+}
+
+TEST(FleetAdvisorTest, SharedPlanMemosLeaveEveryBinAStandaloneSolve) {
+  static scenario::Testbed tb;
+  {
+    SCOPED_TRACE("three machines of one class");
+    const std::vector<FleetMachine> machines(3, FleetMachine{tb.machine()});
+    const std::vector<Tenant> tenants = MixedTenants(tb, 8);
+    const FleetRecommendation got =
+        FleetAdvisor(machines, tenants, FleetOptions()).Recommend();
+    // Accepted moves re-solve bins over memos earlier phases filled.
+    EXPECT_EQ(got.migrations, 3);
+    ExpectBinsMatchStandaloneSolves(machines, tenants, got);
+  }
+  {
+    // Same calibrations, so the same statement classes, on machines whose
+    // memory differs: their memos must not mix. Round-robin deals both
+    // machines a PostgreSQL and a DB2 tenant running Q18 and Q21, so both
+    // bin solves price the same statements at the same allocations.
+    SCOPED_TRACE("two classes differing in memory only");
+    simvm::PhysicalMachine small = tb.machine();
+    small.name = "small";
+    small.memory_mb /= 2.0;
+    const std::vector<FleetMachine> machines = {
+        FleetMachine{tb.machine(), &tb.pg_calibration(),
+                     &tb.db2_calibration()},
+        FleetMachine{small, &tb.pg_calibration(), &tb.db2_calibration()}};
+    ASSERT_FALSE(SameMachineClass(machines[0], machines[1]));
+    std::vector<Tenant> tenants;
+    for (int i = 0; i < 4; ++i) {
+      simdb::Workload w;
+      w.AddStatement(workload::TpchQuery(tb.tpch_sf1(), 18), 1.0 + i);
+      w.AddStatement(workload::TpchQuery(tb.tpch_sf1(), 21), 4.0 - i);
+      tenants.push_back(
+          tb.MakeTenant(i < 2 ? tb.pg_sf1() : tb.db2_sf1(), std::move(w)));
+    }
+    FleetOptions options;
+    options.placement.policy = "round_robin";
+    const FleetRecommendation got =
+        FleetAdvisor(machines, tenants, options).Recommend();
+    ExpectBinsMatchStandaloneSolves(machines, tenants, got);
   }
 }
 

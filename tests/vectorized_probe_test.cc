@@ -249,5 +249,67 @@ TEST_F(VectorizedProbeTest, InvalidateTenantIsSafeUnderDisjointReaders) {
   }
 }
 
+TEST_F(VectorizedProbeTest, EstimatorsSharingAMemoRaceSafely) {
+  // Two estimators price through one statement memo from two threads
+  // while a third thread keeps changing the first estimator's tenant 2,
+  // which adds classes and drops them again (and with them allocations
+  // the other batches may be about to publish). Every estimate must equal
+  // a private-memo estimator's.
+  std::vector<TenantAllocation> frontier;
+  for (const TenantAllocation& item : Frontier()) {
+    if (item.tenant != 2) frontier.push_back(item);
+  }
+  // The second estimator shares tenant 0's statements and brings Q5.
+  simdb::Workload other;
+  for (int qn : {1, 5, 18}) {
+    other.AddStatement(workload::TpchQuery(tb_->tpch_sf1(), qn), 1.0);
+  }
+  const std::vector<Tenant> second_tenants = {
+      tb_->MakeTenant(tb_->pg_sf1(), other), tenants_[1]};
+  WhatIfEstimatorOptions opts;
+  opts.batch_threads = 1;
+  const std::vector<double> want_first =
+      MakeEstimator().EstimateMany(frontier);
+  const std::vector<double> want_second =
+      WhatIfCostEstimator(tb_->machine(), second_tenants, opts)
+          .EstimateMany(frontier);
+
+  constexpr int kRounds = 6;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(round);
+    WhatIfCostEstimator first = MakeEstimator();
+    WhatIfCostEstimator second(tb_->machine(), second_tenants, opts,
+                               first.memo());
+    std::vector<double> got_first, got_second;
+    std::atomic<int> running{2};
+    std::thread writer([&] {
+      const simdb::Workload original = tenants_[2].workload;
+      simdb::Workload replaced;
+      replaced.AddStatement(workload::TpchQuery(tb_->tpch_sf1(), 10), 1.0);
+      replaced.AddStatement(workload::TpchQuery(tb_->tpch_sf1(), 18), 2.0);
+      const simvm::ResourceVector probe{0.5, 0.5, 0.5, 0.5};
+      while (running.load() > 0) {
+        first.SetWorkload(2, replaced);
+        first.EstimateSeconds(2, probe);
+        first.SetWorkload(2, original);
+        first.EstimateSeconds(2, probe);
+      }
+    });
+    std::thread a([&] {
+      got_first = first.EstimateMany(frontier);
+      --running;
+    });
+    std::thread b([&] {
+      got_second = second.EstimateMany(frontier);
+      --running;
+    });
+    a.join();
+    b.join();
+    writer.join();
+    EXPECT_EQ(got_first, want_first);
+    EXPECT_EQ(got_second, want_second);
+  }
+}
+
 }  // namespace
 }  // namespace vdba::advisor
