@@ -1,9 +1,13 @@
 #include "simdb/plan.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
+#include <memory_resource>
 #include <utility>
+#include <vector>
 
 #include "util/check.h"
 
@@ -306,8 +310,9 @@ class ActivityWalker {
   double cold_miss_ = 1.0;
 };
 
-void CollectWorkingSet(const PlanNode& node, std::vector<TableId>* tables,
-                       std::vector<IndexId>* indexes) {
+void CollectWorkingSet(const PlanNode& node,
+                       std::pmr::vector<TableId>* tables,
+                       std::pmr::vector<IndexId>* indexes) {
   if (node.table != kInvalidTable) tables->push_back(node.table);
   if (node.index != kInvalidIndex) indexes->push_back(node.index);
   if (node.inner_index != kInvalidIndex) indexes->push_back(node.inner_index);
@@ -369,10 +374,16 @@ Activity ComputeActivity(const Catalog& catalog, const PlanNode& plan,
 
 double PlanWorkingSetBytes(const Catalog& catalog, const PlanNode& plan) {
   // Dedup via sort+unique rather than std::set: ascending iteration (and
-  // therefore the floating-point summation order) is identical, without
-  // per-insert node allocations on the costing hot path.
-  std::vector<TableId> tables;
-  std::vector<IndexId> indexes;
+  // therefore the floating-point summation order) is identical. The
+  // costing hot path calls this once per candidate plan, so the ids
+  // collect in a stack buffer and allocate nothing (a plan referencing
+  // more than 32 tables or indexes spills to the heap).
+  std::array<std::byte, 512> buffer;
+  std::pmr::monotonic_buffer_resource arena(buffer.data(), buffer.size());
+  std::pmr::vector<TableId> tables(&arena);
+  std::pmr::vector<IndexId> indexes(&arena);
+  tables.reserve(32);
+  indexes.reserve(32);
   CollectWorkingSet(plan, &tables, &indexes);
   std::sort(tables.begin(), tables.end());
   tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
