@@ -251,9 +251,25 @@ std::vector<int> StatementMemo::Resolve(const Tenant& t,
   return resolved;
 }
 
-void StatementMemo::Release(std::span<const int> classes) {
+void StatementMemo::Release(const std::vector<std::vector<int>>& classes) {
   std::unique_lock lock(mu_);
-  if (ReleaseClasses(classes) && size_ > 0) DropDeadEntries();
+  bool dropped = false;
+  for (const std::vector<int>& ids : classes) dropped |= ReleaseClasses(ids);
+  if (dropped && size_ > 0) DropDeadEntries();
+}
+
+StatementMemo::Hold::Hold(std::shared_ptr<StatementMemo> memo,
+                          std::vector<std::vector<int>> classes)
+    : memo_(std::move(memo)), classes_(std::move(classes)) {
+  std::unique_lock lock(memo_->mu_);
+  for (const std::vector<int>& ids : classes_) {
+    for (int c : ids) ++memo_->classes_[static_cast<size_t>(c)].refs;
+  }
+}
+
+StatementMemo::Hold::~Hold() {
+  // The memo's last owner frees it whole.
+  if (memo_.use_count() > 1) memo_->Release(classes_);
 }
 
 // ---------------------------------------------------------------------------
@@ -267,6 +283,7 @@ WhatIfCostEstimator::WhatIfCostEstimator(const simvm::PhysicalMachine& machine,
     : machine_(machine),
       options_(options),
       tenants_(std::move(tenants)),
+      records_(tenants_.size()),
       memo_(memo != nullptr ? std::move(memo)
                             : std::make_shared<StatementMemo>(machine)) {
   VDBA_CHECK(!tenants_.empty());
@@ -274,7 +291,6 @@ WhatIfCostEstimator::WhatIfCostEstimator(const simvm::PhysicalMachine& machine,
                  "statement memo of another machine class (machine '%s')",
                  machine_.name.c_str());
   for (const Tenant& t : tenants_) ValidateTenant(t);
-  observations_.resize(tenants_.size());
   std::lock_guard lock(batch_mu_);
   tenant_classes_.resize(tenants_.size());
   for (size_t i = 0; i < tenants_.size(); ++i) {
@@ -285,27 +301,18 @@ WhatIfCostEstimator::WhatIfCostEstimator(const simvm::PhysicalMachine& machine,
 WhatIfCostEstimator::~WhatIfCostEstimator() {
   // A private memo goes with the estimator; a shared one keeps serving
   // the others, minus the classes only this estimator referenced.
-  if (memo_.use_count() == 1) return;
-  std::vector<int> classes;
-  for (const std::vector<int>& ids : tenant_classes_) {
-    classes.insert(classes.end(), ids.begin(), ids.end());
-  }
-  memo_->Release(classes);
+  if (memo_.use_count() > 1) memo_->Release(tenant_classes_);
+}
+
+StatementMemo::Hold WhatIfCostEstimator::HoldClasses() const {
+  std::lock_guard lock(batch_mu_);
+  return StatementMemo::Hold(memo_, tenant_classes_);
 }
 
 size_t WhatIfCostEstimator::CacheKeyHash::operator()(
     const CacheKey& k) const {
-  // splitmix64-style hash combine; the seed's multiply-add scheme collided
-  // whenever quantized shares traded off against each other.
-  uint64_t h = 0x9e3779b97f4a7c15ull ^ static_cast<uint64_t>(k.tenant);
-  for (int qd : k.q) {
-    uint64_t x = static_cast<uint64_t>(static_cast<int64_t>(qd)) +
-                 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    h ^= x;
-  }
+  uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (int qd : k) h = Mix(h ^ static_cast<uint32_t>(qd));
   return static_cast<size_t>(h);
 }
 
@@ -320,55 +327,22 @@ simvm::ResourceVector WhatIfCostEstimator::Canonical(
 }
 
 WhatIfCostEstimator::CacheKey WhatIfCostEstimator::MakeKey(
-    int tenant, const simvm::ResourceVector& r) const {
+    const simvm::ResourceVector& r) {
   CacheKey key;
-  key.tenant = tenant;
   for (int d = 0; d < simvm::kMaxResourceDims; ++d) {
-    key.q[static_cast<size_t>(d)] = static_cast<int>(
+    key[static_cast<size_t>(d)] = static_cast<int>(
         std::lround(r.share(d) / kCacheGranularity));
   }
   return key;
 }
 
-bool WhatIfCostEstimator::CachedEstimate(const CacheKey& key, double* est) {
-  CacheShard& shard = ShardFor(key);
-  std::shared_lock lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
-  cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  *est = it->second;
-  return true;
-}
-
-double WhatIfCostEstimator::Insert(const CacheKey& key, int tenant,
-                                   const simvm::ResourceVector& r, double est,
-                                   std::string signature) {
-  CacheShard& shard = ShardFor(key);
-  bool inserted = false;
-  {
-    std::unique_lock lock(shard.mu);
-    auto [it, ins] = shard.map.emplace(key, est);
-    est = it->second;
-    inserted = ins;
-  }
-  if (inserted) {
-    std::lock_guard lock(observations_mu_);
-    observations_[static_cast<size_t>(tenant)].push_back(
-        WhatIfObservation{r, est, std::move(signature)});
-  }
-  return est;
-}
-
 double WhatIfCostEstimator::EstimateSeconds(int tenant,
                                             const simvm::ResourceVector& r) {
-  double est = 0.0;
-  if (CachedEstimate(MakeKey(tenant, Canonical(tenant, r)), &est)) return est;
   const TenantAllocation item{tenant, r};
   return EstimateAll({&item, 1})[0];
 }
 
 ThreadPool* WhatIfCostEstimator::pool() {
-  std::lock_guard lock(pool_mu_);
   if (pool_ == nullptr) {
     pool_ = std::make_unique<ThreadPool>(options_.batch_threads);
   }
@@ -379,6 +353,7 @@ struct WhatIfCostEstimator::Miss {
   CacheKey key;
   int tenant;
   simvm::ResourceVector r;
+  size_t item;  ///< the batch item of its first occurrence
   double est = 0.0;
   std::string signature;
 };
@@ -583,58 +558,77 @@ std::vector<double> WhatIfCostEstimator::EstimateMany(
 
 std::vector<double> WhatIfCostEstimator::EstimateAll(
     std::span<const TenantAllocation> batch) {
-  // Partition the batch into cache hits and distinct misses (first
-  // occurrence wins, exactly as a sequential run would).
+  // One pass over the batch: a cached item takes its value, and the first
+  // occurrence of an uncached (tenant, key) becomes a miss that later
+  // occurrences wait for.
+  std::vector<double> out(batch.size(), 0.0);
   std::vector<Miss> misses;
-  std::vector<CacheKey> keys;
-  keys.reserve(batch.size());
-  // Per-item: index into `misses` for the FIRST occurrence of an uncached
-  // key, -1 for cached keys and later duplicates (which replay as cache
-  // hits below, exactly like a sequential run).
-  std::vector<int> miss_index(batch.size(), -1);
-  std::unordered_map<CacheKey, int, CacheKeyHash> pending;
+  std::vector<int32_t> miss_of;  // per item: its miss, -1 for a hit
+  std::vector<int32_t> pending;  // (tenant, key) -> miss, open addressing
+  long hits = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     const int tenant = batch[i].tenant;
-    simvm::ResourceVector r = Canonical(tenant, batch[i].r);
-    keys.push_back(MakeKey(tenant, r));
+    const simvm::ResourceVector r = Canonical(tenant, batch[i].r);
+    const CacheKey key = MakeKey(r);
+    TenantRecord& record = records_[static_cast<size_t>(tenant)];
     {
-      CacheShard& shard = ShardFor(keys[i]);
-      std::shared_lock lock(shard.mu);
-      if (shard.map.contains(keys[i])) continue;
+      std::shared_lock lock(record.mu);
+      auto it = record.cache.find(key);
+      if (it != record.cache.end()) {
+        out[i] = it->second;
+        ++hits;
+        continue;
+      }
     }
-    auto [it, inserted] =
-        pending.emplace(keys[i], static_cast<int>(misses.size()));
-    if (inserted) {
-      misses.push_back(Miss{keys[i], tenant, r, 0.0, {}});
-      miss_index[i] = it->second;
+    if (misses.empty()) {
+      miss_of.assign(batch.size(), -1);
+      pending.assign(std::max<size_t>(16, std::bit_ceil(2 * batch.size())),
+                     -1);
     }
+    const size_t slot = ProbeSlot(
+        pending, Mix(CacheKeyHash{}(key) + static_cast<uint64_t>(tenant)),
+        [&](int32_t m) {
+          const Miss& other = misses[static_cast<size_t>(m)];
+          return other.tenant == tenant && other.key == key;
+        });
+    if (pending[slot] < 0) {
+      pending[slot] = static_cast<int32_t>(misses.size());
+      misses.push_back(Miss{key, tenant, r, i, 0.0, {}});
+    }
+    miss_of[i] = pending[slot];
   }
 
-  // One pricing at a time per estimator: the pool rejects concurrent
-  // ParallelFor submissions, and tenant_classes_ is guarded by the same
-  // mutex.
   if (!misses.empty()) {
-    std::lock_guard batch_lock(batch_mu_);
-    PriceMisses(&misses);
-  }
-
-  // Commit results in the order a sequential run would have: walk the
-  // items, inserting each first-seen miss, counting later duplicates and
-  // pre-existing entries as cache hits.
-  std::vector<double> out(batch.size(), 0.0);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    int m = miss_index[i];
-    if (m >= 0) {
-      Miss& miss = misses[static_cast<size_t>(m)];
-      out[i] = Insert(miss.key, miss.tenant, miss.r, miss.est,
-                      std::move(miss.signature));
-    } else if (!CachedEstimate(keys[i], &out[i])) {
-      // Dropped since the partition by a racing invalidation of this
-      // tenant (outside the concurrency contract): price it afresh.
-      out[i] = EstimateAll(batch.subspan(i, 1))[0];
+    {
+      std::lock_guard batch_lock(batch_mu_);
+      PriceMisses(&misses);
+    }
+    // Commit in item order, as a sequential run would: a miss's first
+    // occurrence inserts it, later ones are hits on the committed value.
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (miss_of[i] < 0) continue;
+      Miss& miss = misses[static_cast<size_t>(miss_of[i])];
+      if (miss.item == i) {
+        miss.est = Insert(&miss);
+      } else {
+        ++hits;
+      }
+      out[i] = miss.est;
     }
   }
+  cache_hits_.fetch_add(hits, std::memory_order_relaxed);
   return out;
+}
+
+double WhatIfCostEstimator::Insert(Miss* miss) {
+  TenantRecord& record = records_[static_cast<size_t>(miss->tenant)];
+  std::unique_lock lock(record.mu);
+  auto [it, inserted] = record.cache.emplace(miss->key, miss->est);
+  if (inserted) {
+    record.observations.push_back(
+        WhatIfObservation{miss->r, miss->est, std::move(miss->signature)});
+  }
+  return it->second;
 }
 
 void WhatIfCostEstimator::SetWorkload(int tenant, simdb::Workload workload) {
@@ -651,30 +645,17 @@ void WhatIfCostEstimator::SetWorkload(int tenant, simdb::Workload workload) {
 void WhatIfCostEstimator::InvalidateTenant(int tenant) {
   VDBA_CHECK_GE(tenant, 0);
   VDBA_CHECK_LT(static_cast<size_t>(tenant), tenants_.size());
-  {
-    std::lock_guard lock(observations_mu_);
-    observations_[static_cast<size_t>(tenant)].clear();
-  }
-  // Drop exactly this tenant's cache entries; other tenants stay warm.
-  for (CacheShard& shard : cache_shards_) {
-    std::unique_lock lock(shard.mu);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      if (it->first.tenant == tenant) {
-        it = shard.map.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  // clear() keeps the map's buckets for the re-pricing that follows.
+  TenantRecord& record = records_[static_cast<size_t>(tenant)];
+  std::unique_lock lock(record.mu);
+  record.cache.clear();
+  record.observations.clear();
 }
 
 int WhatIfCostEstimator::AddTenant(Tenant tenant) {
   ValidateTenant(tenant);
   tenants_.push_back(std::move(tenant));
-  {
-    std::lock_guard lock(observations_mu_);
-    observations_.emplace_back();
-  }
+  records_.emplace_back();
   std::lock_guard lock(batch_mu_);
   tenant_classes_.emplace_back();
   ResolveStatements(static_cast<int>(tenants_.size()) - 1);

@@ -137,9 +137,10 @@ struct WhatIfEstimatorOptions {
 /// VmMemoryMb) and the resource model. Only an estimator on a machine
 /// equal in both may attach (a VDBA_CHECK in the estimator's constructor).
 ///
-/// Estimators reference the classes of their tenants' statements (with
-/// counts). A class's entries and signatures go with its last reference:
-/// a workload change, a replaced tenant or a destroyed estimator.
+/// Estimators and holds reference the classes of tenants' statements
+/// (with counts). A class's entries and signatures go with its last
+/// reference: a workload change, a replaced tenant, a destroyed estimator
+/// or a destroyed hold.
 ///
 /// Thread safety: all state is guarded by one reader-writer lock, which a
 /// pricing batch takes per batch, never per lookup: it resolves its
@@ -152,6 +153,27 @@ struct WhatIfEstimatorOptions {
 /// Allocation indices are not: dropping a class renumbers them.
 class StatementMemo {
  public:
+  /// \brief One reference to each of an estimator's statement classes
+  /// (WhatIfCostEstimator::HoldClasses), so their entries outlive the
+  /// estimator. Move-only; the references go when it is destroyed.
+  class Hold {
+   public:
+    Hold(Hold&&) noexcept = default;
+    ~Hold();
+
+    /// The memo held (null once moved from).
+    const std::shared_ptr<StatementMemo>& memo() const { return memo_; }
+
+   private:
+    friend class WhatIfCostEstimator;
+    /// Adds one reference per id in `classes`, live classes of `memo`.
+    Hold(std::shared_ptr<StatementMemo> memo,
+         std::vector<std::vector<int>> classes);
+
+    std::shared_ptr<StatementMemo> memo_;
+    std::vector<std::vector<int>> classes_;
+  };
+
   /// A memo for estimators on machines with `machine`'s memory_mb and
   /// resource model.
   explicit StatementMemo(const simvm::PhysicalMachine& machine);
@@ -162,7 +184,7 @@ class StatementMemo {
 
   /// Entries held (for tests and memory accounting).
   size_t entries() const;
-  /// Statement classes some estimator references.
+  /// Statement classes some estimator or hold references.
   size_t classes() const;
 
  private:
@@ -196,7 +218,7 @@ class StatementMemo {
   std::vector<int> Resolve(const Tenant& t, const std::vector<int>& previous);
   /// Releases one reference per id, dropping the entries of every class
   /// left unreferenced.
-  void Release(std::span<const int> classes);
+  void Release(const std::vector<std::vector<int>>& classes);
 
   // Batch access; the caller holds mu_ (shared suffices).
   /// The index of `shares` in allocs_, or -1.
@@ -258,9 +280,10 @@ class StatementMemo {
 /// A tenant's estimate at R is the frequency-weighted sum of its
 /// statements' calibrated optimizer costs at R (§4.1). Two caches sit in
 /// front of the optimizer:
-///  - the tenant cache maps (tenant, R quantized to 0.1%) to the workload
-///    total. It is the estimator's own: a hit is one lookup, and
-///    InvalidateTenant drops a tenant's entries with its observation log.
+///  - each tenant's record holds its cache, from R quantized to 0.1% to
+///    the workload total, and its observation log. Records are the
+///    estimator's own: a hit is one lookup in one record, and
+///    InvalidateTenant clears one record.
 ///  - the statement memo (StatementMemo) maps (statement class, exact
 ///    canonical R) to the statement's native cost and plan signature.
 ///    Tenants running the same statement share entries, and a workload
@@ -275,14 +298,15 @@ class StatementMemo {
 /// count equals a run without the memo, shared or not.
 ///
 /// Thread safety: concurrent EstimateSeconds / EstimateBatch /
-/// EstimateMany calls from multiple threads are safe — the tenant cache
-/// is sharded under reader-writer locks, miss pricing is serialized per
-/// estimator by one mutex (taken before the memo's lock), the memo has its
-/// own reader-writer lock, the observation log and counters are
-/// internally synchronized, and the what-if computation itself is pure.
-/// Estimators sharing a memo may run on different threads. The mutators
-/// below are not safe concurrently with estimation of the tenant they
-/// change; see InvalidateTenant for what may race.
+/// EstimateMany calls from multiple threads are safe — each tenant record
+/// has its own reader-writer lock (a batch reads an item's record once,
+/// shared, and commits its misses to it exclusively), miss pricing is
+/// serialized per estimator by one mutex (taken before the memo's lock),
+/// the memo has its own reader-writer lock, the counters are atomic, and
+/// the what-if computation itself is pure. Estimators sharing a memo may
+/// run on different threads. The mutators below are not safe concurrently
+/// with estimation of the tenant they change; see InvalidateTenant for
+/// what may race.
 class WhatIfCostEstimator : public CostEstimator {
  public:
   /// \param memo The statement memo to price through; null gives the
@@ -295,8 +319,7 @@ class WhatIfCostEstimator : public CostEstimator {
   /// Releases the tenants' statement classes in a shared memo.
   ~WhatIfCostEstimator() override;
 
-  /// A tenant-cache hit is one lookup; a miss is priced as a one-item
-  /// EstimateMany batch.
+  /// A one-item EstimateMany batch.
   double EstimateSeconds(int tenant, const simvm::ResourceVector& r) override;
   int num_tenants() const override {
     return static_cast<int>(tenants_.size());
@@ -304,13 +327,10 @@ class WhatIfCostEstimator : public CostEstimator {
   int num_dims() const override { return machine_.resources->dims(); }
 
   /// Cross-tenant what-if estimation. Distinct tenant-cache misses are
-  /// assembled from the statement memo; the memo's misses are priced
-  /// through WhatIfOptimizeGrid, one join enumeration per (statement
-  /// class, memory-context group) over every distinct allocation the
-  /// batch needs of that class, classes fanned out over the thread pool,
-  /// largest first. Results, cache state, observation logs, and the
-  /// cache-hit counter are exactly those of the equivalent sequential
-  /// run.
+  /// assembled from the statement memo, whose misses are priced through
+  /// WhatIfOptimizeGrid: one join enumeration per (statement class,
+  /// memory-context group), classes fanned over the pool, largest first.
+  /// Results, records and counters are those of the sequential run.
   std::vector<double> EstimateMany(
       std::span<const TenantAllocation> batch) override;
 
@@ -323,29 +343,24 @@ class WhatIfCostEstimator : public CostEstimator {
 
   // --- Resident-service mutation APIs (src/service/) -----------------------
   // Like SetWorkload, these are not safe concurrently with estimation OF
-  // THE SAME tenant: the resident AdvisorService serializes each
-  // tenant's events on its machine's lane. InvalidateTenant(t) and
-  // SetWorkload(t) are additionally safe concurrently with estimation of
-  // tenants != t (see below) — the guarantee concurrent lane repairs and
-  // Snapshot readers lean on.
+  // THE SAME tenant (the resident AdvisorService serializes each tenant's
+  // events on its machine's lane); InvalidateTenant says what may race.
 
-  /// \brief Drops exactly one tenant's tenant-cache entries and
-  /// observation log; every other tenant's entries stay warm, and the
-  /// statement memo is not touched.
+  /// \brief Clears exactly one tenant's record: its cache and observation
+  /// log. Every other tenant's record stays warm, and the statement memo
+  /// is not touched.
   ///
   /// This is the targeted-invalidation primitive incremental repair is
   /// built on: a tenant event (arrival, departure, drift, migration) must
-  /// not cost the whole fleet its what-if cache. SetWorkload routes
-  /// through it.
+  /// not cost the whole fleet its what-if cache. SetWorkload and
+  /// ReplaceTenant route through it.
   ///
-  /// Safe concurrently with estimation of OTHER tenants: eviction takes
-  /// each shard's writer lock, the cache map is node-based (references to
-  /// other tenants' entries stay valid across the erases), and estimates
-  /// are pure functions of (machine, tenant, allocation) — so a racing
-  /// disjoint reader can at worst recompute a value, never read a wrong
-  /// one. SetWorkload's statement bookkeeping runs under the pricing
-  /// mutex, and the memo's under the memo's exclusive lock. (Tested by
-  /// vectorized_probe_test InvalidateTenantIsSafeUnderDisjointReaders.)
+  /// Safe concurrently with estimation of OTHER tenants by construction:
+  /// it takes only this tenant's record lock, and a batch locks only the
+  /// records of its own items' tenants. SetWorkload's statement
+  /// bookkeeping runs under the pricing mutex, and the memo's under the
+  /// memo's exclusive lock. (Tested by vectorized_probe_test
+  /// InvalidateTenantIsSafeUnderDisjointReaders.)
   void InvalidateTenant(int tenant);
 
   /// Appends a tenant (same validity requirements as the constructor) and
@@ -358,9 +373,10 @@ class WhatIfCostEstimator : public CostEstimator {
   /// slot-reuse primitive for departed tenants in a long-lived estimator.
   void ReplaceTenant(int tenant, Tenant replacement);
 
-  /// Observation log for one tenant (insertion order).
+  /// Observation log for one tenant (insertion order). Read it while
+  /// nothing estimates that tenant.
   const std::vector<WhatIfObservation>& observations(int tenant) const {
-    return observations_[static_cast<size_t>(tenant)];
+    return records_[static_cast<size_t>(tenant)].observations;
   }
 
   /// Statement evaluations this estimator's optimizer calls ran: one per
@@ -383,24 +399,23 @@ class WhatIfCostEstimator : public CostEstimator {
   const std::shared_ptr<StatementMemo>& memo() const { return memo_; }
   /// Entries in the statement memo (for tests and memory accounting).
   size_t memo_entries() const { return memo_->entries(); }
+  /// A hold on the statement classes of every tenant's statements, which
+  /// keeps their memo entries after this estimator is gone.
+  StatementMemo::Hold HoldClasses() const;
 
  private:
-  struct CacheKey {
-    int tenant;
-    std::array<int, simvm::kMaxResourceDims> q;  // quantized shares
-    bool operator==(const CacheKey&) const = default;
-  };
+  /// A tenant-cache key: the allocation's shares, quantized.
+  using CacheKey = std::array<int, simvm::kMaxResourceDims>;
   struct CacheKeyHash {
     size_t operator()(const CacheKey& k) const;
   };
-  /// One cache shard: entries whose key hash lands on it, under a
-  /// reader-writer lock. References into `map` stay valid across inserts
-  /// (node-based container; only InvalidateTenant erases).
-  struct CacheShard {
+  /// One tenant's cache and observation log, under one reader-writer lock
+  /// that only estimation and invalidation of this tenant take.
+  struct TenantRecord {
     std::shared_mutex mu;
-    std::unordered_map<CacheKey, double, CacheKeyHash> map;
+    std::unordered_map<CacheKey, double, CacheKeyHash> cache;
+    std::vector<WhatIfObservation> observations;
   };
-  static constexpr size_t kCacheShards = 16;
   /// Cache-key quantization granularity in share units (0.1%; the
   /// enumerator moves in much larger steps, default 5%).
   static constexpr double kCacheGranularity = 0.001;
@@ -411,13 +426,8 @@ class WhatIfCostEstimator : public CostEstimator {
   /// dimensions unallocated = share 1, so observation logs are uniform).
   simvm::ResourceVector Canonical(int tenant,
                                   const simvm::ResourceVector& r) const;
-  CacheKey MakeKey(int tenant, const simvm::ResourceVector& r) const;
-  CacheShard& ShardFor(const CacheKey& key) {
-    return cache_shards_[CacheKeyHash{}(key) % kCacheShards];
-  }
-  /// Reads a tenant-cache entry, counting the hit.
-  bool CachedEstimate(const CacheKey& key, double* est);
-  /// The batched miss path behind both EstimateSeconds and EstimateMany
+  static CacheKey MakeKey(const simvm::ResourceVector& r);
+  /// The one estimation path behind both EstimateSeconds and EstimateMany
   /// (non-virtual, so a subclass overriding EstimateMany on top of
   /// EstimateSeconds cannot recurse).
   std::vector<double> EstimateAll(std::span<const TenantAllocation> batch);
@@ -425,13 +435,12 @@ class WhatIfCostEstimator : public CostEstimator {
   /// first pricing the memo's misses: one WhatIfOptimizeGrid per statement
   /// class, classes fanned over the pool. Caller holds batch_mu_.
   void PriceMisses(std::vector<Miss>* misses);
-  /// Inserts a computed value into cache + observation log (which takes
-  /// the signature). If another thread committed the key first, the
-  /// existing entry wins (values are deterministic, so they agree) and no
-  /// duplicate observation is logged.
-  double Insert(const CacheKey& key, int tenant,
-                const simvm::ResourceVector& r, double est,
-                std::string signature);
+  /// Commits a priced miss to its tenant's record: the estimate and the
+  /// observation (which takes the signature). If another thread committed
+  /// the key first, its value wins (values are deterministic, so they
+  /// agree) and nothing is logged. Returns the committed value.
+  double Insert(Miss* miss);
+  /// The pool, created on first use. Caller holds batch_mu_.
   ThreadPool* pool();
   /// Resolves tenant `tenant`'s statements to memo classes (matching its
   /// previous classes first) and releases the previous ones. Caller holds
@@ -441,17 +450,14 @@ class WhatIfCostEstimator : public CostEstimator {
   simvm::PhysicalMachine machine_;
   WhatIfEstimatorOptions options_;
   std::vector<Tenant> tenants_;
-  std::vector<std::vector<WhatIfObservation>> observations_;
-  std::mutex observations_mu_;
-  std::array<CacheShard, kCacheShards> cache_shards_;
-  std::mutex pool_mu_;
-  std::unique_ptr<ThreadPool> pool_;  ///< Lazily created on first batch.
-  /// Serializes this estimator's miss pricing, and guards tenant_classes_:
-  /// ThreadPool rejects concurrent ParallelFor submissions, so when
-  /// several threads hit EstimateMany at once, one prices its misses while
-  /// the others wait their turn (values are deterministic, so recomputing
-  /// a key another batch already filled is wasted work at worst, never a
-  /// wrong answer). Always taken before the memo's lock.
+  /// Index-aligned with tenants_. A deque, so AddTenant moves no record.
+  std::deque<TenantRecord> records_;
+  /// Reached only from PriceMisses, so batch_mu_ guards it.
+  std::unique_ptr<ThreadPool> pool_;
+  /// Serializes this estimator's miss pricing (ThreadPool rejects
+  /// concurrent ParallelFor submissions; two batches missing one key both
+  /// price it, and the first commit wins), and guards tenant_classes_.
+  /// Always taken before the memo's lock.
   mutable std::mutex batch_mu_;
   std::shared_ptr<StatementMemo> memo_;
   /// Per tenant, the memo class of each workload statement.

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -32,6 +33,21 @@ bool SameMachineClass(const FleetMachine& a, const FleetMachine& b) {
          a.hardware.resources == b.hardware.resources &&
          a.pg_calibration == b.pg_calibration &&
          a.db2_calibration == b.db2_calibration;
+}
+
+std::vector<int> MachineClasses(const std::vector<FleetMachine>& machines) {
+  std::vector<int> class_of(machines.size());
+  std::vector<size_t> first;  // per class, its first machine
+  for (size_t m = 0; m < machines.size(); ++m) {
+    size_t c = 0;
+    while (c < first.size() &&
+           !SameMachineClass(machines[first[c]], machines[m])) {
+      ++c;
+    }
+    if (c == first.size()) first.push_back(m);
+    class_of[m] = static_cast<int>(c);
+  }
+  return class_of;
 }
 
 // ---------------------------------------------------------------------------
@@ -269,21 +285,23 @@ FleetAdvisor::FleetAdvisor(std::vector<FleetMachine> machines,
 
 /// The plan memo of each machine class: the statement memo the class's
 /// demand probe filled, which every bin solve on a machine of the class
-/// prices through until the plan returns. Each memo's anchor references
-/// every statement class a bin of the machine class can use: without
-/// it, a memo would empty whenever no bin estimator is alive, for
-/// instance between two migration attempts.
+/// prices through until the plan returns. A hold on the probe's statement
+/// classes, which are every class a bin of the machine class can use,
+/// keeps the memo: without it, a memo would empty whenever no bin
+/// estimator is alive, for instance between two migration attempts.
 struct FleetAdvisor::PlanMemos {
-  /// One per machine class, in order of the classes' first machines.
-  std::vector<std::unique_ptr<WhatIfCostEstimator>> anchors;
-  /// Per machine, its class: an index into anchors.
-  std::vector<size_t> class_of;
+  /// One per machine class, in order of the classes' first machines; set
+  /// by the class's demand probe.
+  std::vector<std::optional<StatementMemo::Hold>> holds;
+  /// Per machine, its class: an index into holds.
+  std::vector<int> class_of;
 
   /// Machine m's memo; null before a demand probe (single-machine
   /// fleets), which gives every solve a private memo.
   std::shared_ptr<StatementMemo> For(int m) const {
-    if (anchors.empty()) return nullptr;
-    return anchors[class_of[static_cast<size_t>(m)]]->memo();
+    if (holds.empty()) return nullptr;
+    return holds[static_cast<size_t>(class_of[static_cast<size_t>(m)])]
+        ->memo();
   }
 };
 
@@ -301,25 +319,18 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemand(PlanMemos* memos) {
   std::vector<std::vector<double>> demand(
       static_cast<size_t>(t), std::vector<double>(static_cast<size_t>(p)));
 
-  // Machine classes: probe_list holds each class's first machine, and
-  // class_of[m] is machine m's class. Only those first machines are
-  // probed; classmates copy the column (their estimates are bit-identical
-  // — see SameMachineClass). With `memos`, each class's probe memo is
-  // kept as its plan memo.
-  std::vector<size_t> class_of(static_cast<size_t>(p), 0);
-  std::vector<size_t> probe_list;
-  for (int m = 0; m < p; ++m) {
-    size_t c = 0;
-    while (c < probe_list.size() &&
-           !SameMachineClass(machines_[probe_list[c]],
-                             machines_[static_cast<size_t>(m)])) {
-      ++c;
+  // Only each machine class's first machine is probed; classmates copy
+  // the column (their estimates are bit-identical — see SameMachineClass).
+  // With `memos`, a hold keeps each class's probe memo as its plan memo.
+  std::vector<int> class_of = MachineClasses(machines_);
+  std::vector<size_t> probe_list;  // per class, its first machine
+  for (size_t m = 0; m < class_of.size(); ++m) {
+    if (static_cast<size_t>(class_of[m]) == probe_list.size()) {
+      probe_list.push_back(m);
     }
-    if (c == probe_list.size()) probe_list.push_back(static_cast<size_t>(m));
-    class_of[static_cast<size_t>(m)] = c;
   }
   demand_columns_probed_ = static_cast<int>(probe_list.size());
-  if (memos != nullptr) memos->anchors.resize(probe_list.size());
+  if (memos != nullptr) memos->holds.resize(probe_list.size());
 
   // Columns fan across the fleet pool, so each machine's demand estimator
   // gets the smallest pool of its own: one worker, joined by the calling
@@ -334,7 +345,8 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemand(PlanMemos* memos) {
     for (int i = 0; i < t; ++i) {
       bound.push_back(machine.Bind(tenants_[static_cast<size_t>(i)]));
     }
-    WhatIfCostEstimator estimator(machine.hardware, bound, est_opts);
+    WhatIfCostEstimator estimator(machine.hardware, std::move(bound),
+                                  est_opts);
     const int dims = machine.hardware.resources->dims();
     std::vector<TenantAllocation> probes;
     probes.reserve(static_cast<size_t>(t));
@@ -345,32 +357,7 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemand(PlanMemos* memos) {
     for (int i = 0; i < t; ++i) {
       demand[static_cast<size_t>(i)][m] = est[static_cast<size_t>(i)];
     }
-    if (memos == nullptr) return;
-    // The anchor references each of the probe's statement classes once
-    // (the plan keeps a few statements, not a copy of every tenant). It
-    // never estimates, so unlike the probe estimator it keeps no pool
-    // thread alive through the plan: an idle thread pins a malloc arena.
-    std::vector<Tenant> anchor;
-    for (Tenant& tenant : bound) {
-      auto anchored = [&](const simdb::WorkloadStatement& stmt) {
-        return std::any_of(anchor.begin(), anchor.end(), [&](const Tenant& a) {
-          return a.engine == tenant.engine &&
-                 a.calibration == tenant.calibration &&
-                 std::any_of(a.workload.statements.begin(),
-                             a.workload.statements.end(),
-                             [&](const simdb::WorkloadStatement& held) {
-                               return held.query == stmt.query;
-                             });
-        });
-      };
-      std::erase_if(tenant.workload.statements, anchored);
-      // An estimator needs a tenant, even one with no statements.
-      if (!tenant.workload.statements.empty() || anchor.empty()) {
-        anchor.push_back(std::move(tenant));
-      }
-    }
-    memos->anchors[pi] = std::make_unique<WhatIfCostEstimator>(
-        machine.hardware, std::move(anchor), est_opts, estimator.memo());
+    if (memos != nullptr) memos->holds[pi].emplace(estimator.HoldClasses());
   };
   if (pool_ != nullptr && probe_list.size() > 1) {
     pool_->ParallelFor(probe_list.size(), probe_machine);
@@ -380,7 +367,8 @@ std::vector<std::vector<double>> FleetAdvisor::ProbeDemand(PlanMemos* memos) {
 
   // Copy each class's column to its other machines.
   for (int m = 0; m < p; ++m) {
-    const size_t r = probe_list[class_of[static_cast<size_t>(m)]];
+    const size_t r =
+        probe_list[static_cast<size_t>(class_of[static_cast<size_t>(m)])];
     if (r == static_cast<size_t>(m)) continue;
     for (int i = 0; i < t; ++i) {
       demand[static_cast<size_t>(i)][static_cast<size_t>(m)] =

@@ -70,9 +70,13 @@ struct FleetMachine {
 /// the same calibration bindings. The estimate is a pure function of
 /// exactly these inputs, so classmates get bit-identical demand columns.
 /// PhysicalMachine::name is deliberately excluded (purely descriptive).
-/// FleetAdvisor's shared demand probing and the resident AdvisorService's
-/// per-class probe reuse both key off this.
 bool SameMachineClass(const FleetMachine& a, const FleetMachine& b);
+
+/// Each machine's class index under SameMachineClass, classes numbered in
+/// order of their first machine. FleetAdvisor's demand probes and plan
+/// memos and the resident AdvisorService's arrival probes all group
+/// machines by it.
+std::vector<int> MachineClasses(const std::vector<FleetMachine>& machines);
 
 // ---------------------------------------------------------------------------
 // Migration policy: the rules FleetAdvisor's repair loop and the resident
@@ -314,9 +318,8 @@ class FleetAdvisor {
   struct BinState;
   struct PlanMemos;
 
-  /// ProbeDemandMatrix; with `memos` (may be null), also keeps each
-  /// machine class's probe memo there as that class's plan memo, with its
-  /// anchor.
+  /// ProbeDemandMatrix; with `memos` (may be null), also keeps a hold on
+  /// each machine class's probe memo there as that class's plan memo.
   std::vector<std::vector<double>> ProbeDemand(PlanMemos* memos);
   /// Solves one bin, pricing through `memo` (null: a private one), and
   /// probes its per-dimension saturation relief.

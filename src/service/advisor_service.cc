@@ -4,10 +4,12 @@
 #include <cmath>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "advisor/allocation.h"
 #include "advisor/search_strategy.h"
+#include "simdb/optimizer.h"
 #include "util/check.h"
 
 namespace vdba::service {
@@ -69,6 +71,41 @@ std::string TenantProblem(const Tenant& bound) {
   return {};
 }
 
+/// Why `workload` cannot be estimated on `engine`, or empty when it can:
+/// a frequency that is not finite and >= 0, or a query the engine's
+/// optimizer cannot plan (simdb::QueryProblem).
+std::string WorkloadProblem(const simdb::DbEngine& engine,
+                            const simdb::Workload& workload) {
+  for (size_t s = 0; s < workload.statements.size(); ++s) {
+    const simdb::WorkloadStatement& stmt = workload.statements[s];
+    std::string problem;
+    if (!(std::isfinite(stmt.frequency) && stmt.frequency >= 0.0)) {
+      problem = "frequency " + std::to_string(stmt.frequency) +
+                " is not finite and >= 0";
+    } else {
+      problem = simdb::QueryProblem(engine.catalog(), stmt.query);
+    }
+    if (!problem.empty()) {
+      return "statement " + std::to_string(s) + ": " + problem;
+    }
+  }
+  return {};
+}
+
+/// Why `qos` is out of range, or empty: the degradation limit must be
+/// >= 1 (infinity leaves it unconstrained) and the gain finite and > 0.
+std::string QosProblem(const QosSpec& qos) {
+  if (!(qos.degradation_limit >= 1.0)) {
+    return "degradation limit " + std::to_string(qos.degradation_limit) +
+           " is not >= 1";
+  }
+  if (!(std::isfinite(qos.gain_factor) && qos.gain_factor > 0.0)) {
+    return "gain factor " + std::to_string(qos.gain_factor) +
+           " is not finite and > 0";
+  }
+  return {};
+}
+
 }  // namespace
 
 std::vector<int> AdvisorService::MachineState::OccupiedSlots() const {
@@ -82,6 +119,7 @@ std::vector<int> AdvisorService::MachineState::OccupiedSlots() const {
 AdvisorService::AdvisorService(std::vector<advisor::FleetMachine> machines,
                                ServiceOptions options)
     : options_(std::move(options)),
+      machine_class_(advisor::MachineClasses(machines)),
       lanes_(static_cast<int>(machines.size())) {
   VDBA_CHECK(!machines.empty());
   VDBA_CHECK_GT(options_.placement.headroom, 0.0);
@@ -174,13 +212,22 @@ void AdvisorService::Process(Event event, int lane) {
     Complete(event, Handle(event));
     return;
   }
+  // A malformed drift is refused on its own: never applied, never
+  // absorbed into a run.
+  if (std::string problem = DriftProblem(event); !problem.empty()) {
+    EventOutcome outcome;
+    outcome.error = "drift refused: " + problem;
+    Complete(event, std::move(outcome));
+    return;
+  }
   std::vector<Event> batch;
   batch.push_back(std::move(event));
   if (options_.coalesce_drift && lane >= 0) {
     const int id = batch.front().tenant_id;
     while (std::optional<Event> more =
-               lanes_.PopMoreIf(lane, [id](const Event& e) {
-                 return e.kind == EventKind::kDrift && e.tenant_id == id;
+               lanes_.PopMoreIf(lane, [this, id](const Event& e) {
+                 return e.kind == EventKind::kDrift && e.tenant_id == id &&
+                        DriftProblem(e).empty();
                })) {
       batch.push_back(std::move(*more));
     }
@@ -275,32 +322,35 @@ std::vector<double> AdvisorService::ProbeDemandRow(
     const advisor::Tenant& tenant) const {
   const int p = num_machines();
   std::vector<double> row(static_cast<size_t>(p), 0.0);
-  // One throwaway single-tenant estimator per machine CLASS; classmates
-  // copy the value (SameMachineClass implies bit-identical estimates).
-  std::vector<int> probed;
+  // One throwaway single-tenant estimator on each machine class's first
+  // machine; classmates copy its value (SameMachineClass implies
+  // bit-identical estimates).
+  std::vector<size_t> first;  // per class, its first machine
   advisor::WhatIfEstimatorOptions est_opts = options_.advisor.estimator;
   est_opts.batch_threads = 1;
-  for (int m = 0; m < p; ++m) {
-    const advisor::FleetMachine& fm =
-        machines_[static_cast<size_t>(m)].machine;
-    int rep = -1;
-    for (int e : probed) {
-      if (advisor::SameMachineClass(machines_[static_cast<size_t>(e)].machine,
-                                    fm)) {
-        rep = e;
-        break;
-      }
-    }
-    if (rep >= 0) {
-      row[static_cast<size_t>(m)] = row[static_cast<size_t>(rep)];
+  for (size_t m = 0; m < static_cast<size_t>(p); ++m) {
+    const size_t c = static_cast<size_t>(machine_class_[m]);
+    if (c < first.size()) {
+      row[m] = row[first[c]];
       continue;
     }
+    first.push_back(m);
+    const advisor::FleetMachine& fm = machines_[m].machine;
     WhatIfCostEstimator probe(fm.hardware, {fm.Bind(tenant)}, est_opts);
-    row[static_cast<size_t>(m)] = probe.EstimateSeconds(
+    row[m] = probe.EstimateSeconds(
         0, simvm::ResourceVector::Full(fm.hardware.resources->dims()));
-    probed.push_back(m);
   }
   return row;
+}
+
+std::string AdvisorService::DriftProblem(const Event& event) const {
+  const int id = event.tenant_id;
+  if (id < 0 || static_cast<size_t>(id) >= tenants_.size() ||
+      !tenants_[static_cast<size_t>(id)].active) {
+    return {};
+  }
+  return WorkloadProblem(*tenants_[static_cast<size_t>(id)].original.engine,
+                         event.workload);
 }
 
 int AdvisorService::Admit(const std::vector<double>& demand_row) const {
@@ -637,8 +687,16 @@ EventOutcome AdvisorService::HandleArrival(Event& event) {
     outcome.error = "arrival refused: tenant has no engine";
     return outcome;
   }
+  std::string problem = QosProblem(event.tenant.qos);
+  if (problem.empty()) {
+    problem = WorkloadProblem(*event.tenant.engine, event.tenant.workload);
+  }
+  if (!problem.empty()) {
+    outcome.error = "arrival refused: " + problem;
+    return outcome;
+  }
   for (int m = 0; m < num_machines(); ++m) {
-    std::string problem = TenantProblem(
+    problem = TenantProblem(
         machines_[static_cast<size_t>(m)].machine.Bind(event.tenant));
     if (!problem.empty()) {
       outcome.error = "arrival refused on machine " + std::to_string(m) +

@@ -109,8 +109,8 @@ struct ServiceOptions {
 /// event's repair.
 struct EventOutcome {
   /// False when the event was refused (unknown tenant id, invalid tenant,
-  /// service already stopped); `error` says why and fleet state is
-  /// untouched.
+  /// malformed workload or QoS, service already stopped); `error` says why
+  /// and fleet state is untouched.
   bool ok = false;
   std::string error;
   /// Global id of the tenant the event concerned (the newly assigned id
@@ -298,9 +298,14 @@ class AdvisorService {
   EventOutcome HandleReconfigure();
 
   /// Estimated seconds of `tenant` alone at 100% of each machine, probed
-  /// once per machine class (classmates share the value — see
-  /// SameMachineClass).
+  /// on each machine class's first machine (classmates share the value —
+  /// see SameMachineClass).
   std::vector<double> ProbeDemandRow(const advisor::Tenant& tenant) const;
+  /// Why drift `event` must be refused before it is applied or absorbed
+  /// into a coalesced run: a workload its tenant's engine cannot plan or
+  /// price. Empty when it is well formed, and for an unknown or departed
+  /// tenant, which HandleDriftRun refuses.
+  std::string DriftProblem(const Event& event) const;
   /// Admission: projected-load demand row through the PlacementPolicy.
   int Admit(const std::vector<double>& demand_row) const;
 
@@ -346,6 +351,9 @@ class AdvisorService {
 
   ServiceOptions options_;
   std::vector<MachineState> machines_;
+  /// Per machine, its class (advisor::MachineClasses); machines never
+  /// change.
+  const std::vector<int> machine_class_;
   /// Global tenant table; ids are indices and are never reused.
   std::vector<TenantState> tenants_;
 

@@ -13,8 +13,6 @@ namespace vdba::simdb {
 
 namespace {
 
-constexpr int kMaxRelations = 12;
-
 /// Join-graph probes: functions of the query alone, never of the
 /// parameter vector.
 bool HasCrossEdge(const QuerySpec& query, RelMask left, RelMask right) {
@@ -488,6 +486,38 @@ bool SameContext(const MemoryContext& a, const MemoryContext& b) {
 }
 
 }  // namespace
+
+std::string QueryProblem(const Catalog& catalog, const QuerySpec& query) {
+  auto problem = [&](const std::string& what) {
+    return "query '" + query.name + "' " + what;
+  };
+  const size_t n = query.relations.size();
+  if (n == 0) return problem("has no relation");
+  if (n > static_cast<size_t>(kMaxRelations)) {
+    return problem("joins " + std::to_string(n) + " relations, more than " +
+                   std::to_string(kMaxRelations));
+  }
+  for (const RelationRef& rel : query.relations) {
+    if (rel.table < 0 ||
+        static_cast<size_t>(rel.table) >= catalog.num_tables()) {
+      return problem("names table " + std::to_string(rel.table) +
+                     ", outside the catalog's " +
+                     std::to_string(catalog.num_tables()));
+    }
+  }
+  for (const JoinPredicate& j : query.joins) {
+    for (int rel : {j.left_rel, j.right_rel}) {
+      if (rel < 0 || static_cast<size_t>(rel) >= n) {
+        return problem("joins relation " + std::to_string(rel) +
+                       ", outside its " + std::to_string(n));
+      }
+    }
+  }
+  if (!CardinalityModel(catalog, query).Connected((RelMask{1} << n) - 1)) {
+    return problem("has a disconnected join graph");
+  }
+  return {};
+}
 
 OptimizeResult Optimizer::Optimize(const QuerySpec& query,
                                    const EngineParams& params) const {

@@ -30,6 +30,18 @@
 
 namespace vdba::simdb {
 
+/// Most relations one query may join: the join search keeps a table row
+/// per subset of them.
+inline constexpr int kMaxRelations = 12;
+
+/// The first reason the optimizer cannot plan `query` over `catalog`, or
+/// an empty string when it can: no relation, more than kMaxRelations, a
+/// table outside the catalog, a join endpoint outside the query's
+/// relations, or a join graph that leaves a relation unconnected. The
+/// optimizer aborts on each of these, so callers that take queries from
+/// outside the program check them first.
+std::string QueryProblem(const Catalog& catalog, const QuerySpec& query);
+
 /// Output of one optimizer call.
 struct OptimizeResult {
   PlanPtr plan;

@@ -9,15 +9,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <limits>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "advisor/advisor.h"
 #include "scenario/scenario.h"
+#include "simdb/optimizer.h"
 #include "util/event_queue.h"
 #include "workload/tpch.h"
 
@@ -490,6 +493,158 @@ TEST(AdvisorServiceMultiWorkerTest, DisarmedNoOpReconfigureCostsNoWhatIfCall) {
       EXPECT_EQ(after.allocations[id], before.allocations[id]) << id;
       EXPECT_EQ(after.estimated_seconds[id], before.estimated_seconds[id])
           << id;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Malformed input: every malformed arrival or drift is refused through
+// EventOutcome::error, at one and at four workers, and leaves the state the
+// same stream reaches without it.
+// ---------------------------------------------------------------------------
+
+/// One-defect edits of `good`'s first statement, each of which the
+/// service must refuse: the query rules of simdb::QueryProblem and the
+/// frequency rule.
+std::vector<simdb::Workload> MalformedWorkloads(const simdb::Workload& good) {
+  using Statement = simdb::WorkloadStatement;
+  const std::vector<std::function<void(Statement&)>> edits = {
+      [](Statement& s) { s.query.relations[1].table = 1000; },
+      [](Statement& s) { s.query.relations[0].table = simdb::kInvalidTable; },
+      [](Statement& s) {
+        s.query.joins[0].right_rel = static_cast<int>(s.query.relations.size());
+      },
+      [](Statement& s) { s.query.joins[0].left_rel = -1; },
+      [](Statement& s) {
+        while (s.query.relations.size() <= simdb::kMaxRelations) {
+          const int rel = static_cast<int>(s.query.relations.size());
+          s.query.joins.push_back(simdb::JoinPredicate{0, rel, 1e-6, ""});
+          s.query.relations.push_back(s.query.relations[0]);
+        }
+      },
+      [](Statement& s) { s.query.joins.clear(); },  // disconnected
+      [](Statement& s) {
+        s.query.relations.clear();
+        s.query.joins.clear();
+      },
+      [](Statement& s) {
+        s.frequency = std::numeric_limits<double>::quiet_NaN();
+      },
+      [](Statement& s) { s.frequency = -1.0; },
+      [](Statement& s) {
+        s.frequency = std::numeric_limits<double>::infinity();
+      },
+  };
+  std::vector<simdb::Workload> bad;
+  for (const auto& edit : edits) {
+    bad.push_back(good);
+    edit(bad.back().statements.front());
+  }
+  return bad;
+}
+
+/// QoS specs the service must refuse.
+std::vector<QosSpec> MalformedQos() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<QosSpec> bad(6);
+  bad[0].degradation_limit = nan;
+  bad[1].degradation_limit = 0.5;
+  bad[2].gain_factor = 0.0;
+  bad[3].gain_factor = -2.0;
+  bad[4].gain_factor = nan;
+  bad[5].gain_factor = inf;
+  return bad;
+}
+
+struct MalformedRun {
+  FleetSnapshot snapshot;
+  long refused = 0;
+};
+
+/// Five arrivals, then two drifts per tenant to one heavier workload, on a
+/// disarmed two-machine service; with `malformed`, every malformed arrival
+/// goes in among the arrivals and a malformed drift follows each drift.
+/// Every good event must succeed and every malformed one be refused.
+MalformedRun RunWithMalformedEvents(int workers, bool coalesce,
+                                    bool malformed) {
+  ServiceOptions options = DisarmedOptions(workers);
+  options.coalesce_drift = coalesce;
+  AdvisorService service(Machines(2), options);
+  constexpr int kTenants = 5;
+  std::vector<Tenant> bad_arrivals;
+  for (const QosSpec& qos : MalformedQos()) {
+    bad_arrivals.push_back(ServiceTenant(0));
+    bad_arrivals.back().qos = qos;
+  }
+  for (simdb::Workload& workload :
+       MalformedWorkloads(ServiceTenant(1).workload)) {
+    bad_arrivals.push_back(ServiceTenant(1));
+    bad_arrivals.back().workload = std::move(workload);
+  }
+
+  std::vector<std::future<EventOutcome>> good, bad;
+  for (int i = 0; i < kTenants; ++i) {
+    for (size_t k = static_cast<size_t>(i);
+         malformed && k < bad_arrivals.size(); k += kTenants) {
+      bad.push_back(service.SubmitArrival(bad_arrivals[k]));
+    }
+    good.push_back(service.SubmitArrival(ServiceTenant(i)));
+  }
+  for (int i = 0; i < kTenants; ++i) {
+    // Consecutive drifts of one tenant, so coalescing meets the malformed
+    // ones right behind a run it could extend.
+    const std::vector<simdb::Workload> bad_drifts =
+        MalformedWorkloads(ServiceTenant(i).workload);
+    for (size_t k = 0; k < 2; ++k) {
+      good.push_back(service.SubmitDrift(i, ServiceTenant(i, 6.0).workload));
+      if (malformed) {
+        bad.push_back(service.SubmitDrift(
+            i, bad_drifts[(2 * static_cast<size_t>(i) + k) %
+                          bad_drifts.size()]));
+      }
+    }
+  }
+
+  MalformedRun run;
+  for (std::future<EventOutcome>& future : good) {
+    EventOutcome out = future.get();
+    EXPECT_TRUE(out.ok) << out.error;
+  }
+  for (std::future<EventOutcome>& future : bad) {
+    EventOutcome out = future.get();
+    EXPECT_FALSE(out.ok);
+    EXPECT_NE(out.error.find("refused: "), std::string::npos) << out.error;
+    ++run.refused;
+  }
+  run.snapshot = service.Snapshot();
+  return run;
+}
+
+TEST(AdvisorServiceMalformedInputTest, RefusedEventsLeaveTheCleanStreamsState) {
+  for (int workers : {1, 4}) {
+    for (bool coalesce : {false, true}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " coalesce=" + std::to_string(coalesce));
+      const MalformedRun clean = RunWithMalformedEvents(workers, coalesce,
+                                                        false);
+      const MalformedRun mixed = RunWithMalformedEvents(workers, coalesce,
+                                                        true);
+      // Every malformed arrival (6 QoS, 10 workloads) and drift (10).
+      EXPECT_EQ(mixed.refused, 26);
+      const FleetSnapshot& want = clean.snapshot;
+      const FleetSnapshot& got = mixed.snapshot;
+      EXPECT_EQ(got.events_handled, want.events_handled + mixed.refused);
+      EXPECT_EQ(got.active_tenants, 5);
+      EXPECT_EQ(got.assignment, want.assignment);
+      EXPECT_EQ(got.violated_qos, want.violated_qos);
+      EXPECT_EQ(got.objective, want.objective);  // bitwise, not near
+      ASSERT_EQ(got.allocations.size(), want.allocations.size());
+      for (size_t id = 0; id < want.allocations.size(); ++id) {
+        EXPECT_EQ(got.allocations[id], want.allocations[id]) << id;
+        EXPECT_EQ(got.estimated_seconds[id], want.estimated_seconds[id])
+            << id;
+      }
     }
   }
 }

@@ -569,6 +569,151 @@ TEST_F(EstimateManyTest, EstimatorsSharingAMemoMatchPrivateMemos) {
             reference.EstimateMany(first_batch));
 }
 
+TEST_F(EstimateManyTest, AllocationsOfOneQuantizedKeyShareTheFirstEstimate) {
+  // The tenant cache keys on shares quantized to 0.1%: {0.5004, 0.5}
+  // after {0.5, 0.5} is a hit on the first's estimate, bit for bit, with
+  // no optimizer call and no second observation; its own estimate differs.
+  // The same allocation of another tenant is that tenant's own miss.
+  const simvm::ResourceVector first{0.5, 0.5};
+  const simvm::ResourceVector near{0.5004, 0.5};
+  const double exact_near =
+      WhatIfCostEstimator(tb_.machine(), tenants_).EstimateSeconds(0, near);
+  const long calls0 = static_cast<long>(tenants_[0].workload.statements.size());
+  const long calls1 = static_cast<long>(tenants_[1].workload.statements.size());
+
+  auto expect_one_observation = [](const WhatIfCostEstimator& est, int t,
+                                   const simvm::ResourceVector& r) {
+    ASSERT_EQ(est.observations(t).size(), 1u) << t;
+    EXPECT_EQ(est.observations(t)[0].allocation, r.Expanded(est.num_dims()));
+  };
+  {
+    SCOPED_TRACE("one batch");
+    WhatIfCostEstimator est(tb_.machine(), tenants_);
+    const std::vector<TenantAllocation> batch = {
+        {0, first}, {0, near}, {1, first}};
+    const std::vector<double> got = est.EstimateMany(batch);
+    EXPECT_EQ(got[1], got[0]);
+    EXPECT_NE(got[1], exact_near);
+    EXPECT_EQ(est.cache_hits(), 1);
+    EXPECT_EQ(est.optimizer_calls(), calls0 + calls1);
+    expect_one_observation(est, 0, first);
+    expect_one_observation(est, 1, first);
+  }
+  {
+    SCOPED_TRACE("across calls");
+    WhatIfCostEstimator est(tb_.machine(), tenants_);
+    const double want = est.EstimateSeconds(0, first);
+    EXPECT_EQ(est.optimizer_calls(), calls0);
+    EXPECT_EQ(est.EstimateSeconds(0, near), want);
+    const std::vector<TenantAllocation> again = {{0, near}};
+    EXPECT_EQ(est.EstimateMany(again), std::vector<double>{want});
+    EXPECT_EQ(est.cache_hits(), 2);
+    EXPECT_EQ(est.optimizer_calls(), calls0);
+    expect_one_observation(est, 0, first);
+    est.EstimateSeconds(1, first);
+    EXPECT_EQ(est.cache_hits(), 2);
+    EXPECT_EQ(est.optimizer_calls(), calls0 + calls1);
+    expect_one_observation(est, 1, first);
+  }
+}
+
+TEST_F(EstimateManyTest, AddAndReplaceTenantKeepEveryOtherRecordWarm) {
+  // A record belongs to one tenant: appending a tenant or replacing one
+  // leaves every other tenant's cache and observation log as it was, and
+  // the replaced tenant starts over with an empty log.
+  const workload::TpchDatabase& db = tb_.tpch_sf1();
+  WhatIfCostEstimator est(tb_.machine(), tenants_);
+  const std::vector<TenantAllocation> frontier = Frontier();
+  const std::vector<double> want = est.EstimateMany(frontier);
+  std::vector<std::vector<WhatIfObservation>> logs;
+  for (int t = 0; t < est.num_tenants(); ++t) {
+    logs.push_back(est.observations(t));
+  }
+  auto expect_log = [&](int t) {
+    const std::vector<WhatIfObservation>& got = est.observations(t);
+    const std::vector<WhatIfObservation>& was = logs[static_cast<size_t>(t)];
+    ASSERT_EQ(got.size(), was.size()) << t;
+    for (size_t i = 0; i < was.size(); ++i) {
+      EXPECT_EQ(got[i].allocation, was[i].allocation) << t << " " << i;
+      EXPECT_EQ(got[i].est_seconds, was[i].est_seconds) << t << " " << i;
+      EXPECT_EQ(got[i].plan_signature, was[i].plan_signature) << t << " " << i;
+    }
+  };
+  // Re-probes `frontier` without tenant `skip`: every item is a hit with
+  // the value it had, and costs no optimizer call.
+  auto expect_warm = [&](int skip) {
+    std::vector<TenantAllocation> items;
+    std::vector<double> values;
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      if (frontier[i].tenant == skip) continue;
+      items.push_back(frontier[i]);
+      values.push_back(want[i]);
+    }
+    const long hits = est.cache_hits();
+    const long calls = est.optimizer_calls();
+    EXPECT_EQ(est.EstimateMany(items), values);
+    EXPECT_EQ(est.cache_hits() - hits, static_cast<long>(items.size()));
+    EXPECT_EQ(est.optimizer_calls(), calls);
+  };
+
+  const Tenant added = tb_.MakeTenant(tb_.db2_sf1(), TpchWorkload(db, {1}, 1.0));
+  ASSERT_EQ(est.AddTenant(added), 3);
+  EXPECT_TRUE(est.observations(3).empty());
+  expect_warm(-1);
+  for (int t = 0; t < 3; ++t) expect_log(t);
+
+  const Tenant replacement =
+      tb_.MakeTenant(tb_.pg_sf1(), TpchWorkload(db, {6, 14}, 2.0));
+  est.ReplaceTenant(1, replacement);
+  EXPECT_TRUE(est.observations(1).empty());
+  expect_warm(1);
+  for (int t : {0, 2}) expect_log(t);
+
+  // The replaced tenant re-prices at the replacement's values, and its
+  // log restarts with them.
+  WhatIfCostEstimator alone(tb_.machine(), {replacement});
+  for (const TenantAllocation& item : frontier) {
+    if (item.tenant != 1) continue;
+    EXPECT_EQ(est.EstimateSeconds(1, item.r), alone.EstimateSeconds(0, item.r));
+  }
+  ASSERT_EQ(est.observations(1).size(), alone.observations(0).size());
+  for (size_t i = 0; i < alone.observations(0).size(); ++i) {
+    EXPECT_EQ(est.observations(1)[i].allocation,
+              alone.observations(0)[i].allocation);
+    EXPECT_EQ(est.observations(1)[i].est_seconds,
+              alone.observations(0)[i].est_seconds);
+  }
+}
+
+TEST_F(EstimateManyTest, AHoldKeepsItsClassesEntriesUntilItGoes) {
+  // A hold references the statement classes of the estimator it was taken
+  // from: their entries outlive that estimator, and go with the hold once
+  // no estimator references them.
+  const workload::TpchDatabase& db = tb_.tpch_sf1();
+  auto probe = std::make_unique<WhatIfCostEstimator>(
+      tb_.machine(),
+      std::vector<Tenant>{
+          tb_.MakeTenant(tb_.pg_sf1(), TpchWorkload(db, {1, 6}, 1.0))});
+  const std::vector<TenantAllocation> batch = {{0, {0.2, 0.5}},
+                                               {0, {0.5, 0.5}}};
+  probe->EstimateMany(batch);
+  ASSERT_EQ(probe->memo_entries(), 4u);
+  WhatIfCostEstimator bin(
+      tb_.machine(), {tb_.MakeTenant(tb_.pg_sf1(), TpchWorkload(db, {6}, 3.0))},
+      WhatIfEstimatorOptions(), probe->memo());
+  {
+    const StatementMemo::Hold hold = probe->HoldClasses();
+    EXPECT_EQ(hold.memo(), probe->memo());
+    probe.reset();
+    EXPECT_EQ(bin.memo_entries(), 4u);  // Q1 too, which only the hold keeps
+    EXPECT_EQ(bin.memo()->classes(), 2u);
+    bin.EstimateMany(batch);
+    EXPECT_EQ(bin.optimizer_calls(), 0);
+  }
+  EXPECT_EQ(bin.memo_entries(), 2u);
+  EXPECT_EQ(bin.memo()->classes(), 1u);
+}
+
 TEST_F(EstimateManyTest, OnlyAMachineOfTheMemosClassCanAttach) {
   // The memo's values read the machine's memory (VmMemoryMb) and its
   // resource model; a machine differing in either must not attach.

@@ -45,6 +45,39 @@ TEST_F(OptimizerTest, SingleRelationPrefersSeqScanForFullScan) {
   EXPECT_EQ(res.signature.find("IXS"), std::string::npos);
 }
 
+TEST_F(OptimizerTest, QueryProblemAcceptsTpchAndNamesEachDefect) {
+  for (int qn = 1; qn <= 22; ++qn) {
+    EXPECT_EQ(QueryProblem(db_.catalog, TpchQuery(db_, qn)), "") << qn;
+  }
+  const QuerySpec base = TpchQuery(db_, 3);
+  ASSERT_EQ(base.relations.size(), 3u);
+  auto problem = [&](void (*edit)(QuerySpec*)) {
+    QuerySpec q = base;
+    edit(&q);
+    return QueryProblem(db_.catalog, q);
+  };
+  auto names = [](const std::string& problem, const char* defect) {
+    return problem.find(defect) != std::string::npos;
+  };
+  EXPECT_PRED2(names, problem([](QuerySpec* q) {
+                 q->relations.clear();
+                 q->joins.clear();
+               }),
+               "has no relation");
+  EXPECT_PRED2(names, problem([](QuerySpec* q) {
+                 q->relations.resize(kMaxRelations + 1, q->relations[0]);
+               }),
+               "more than 12");
+  EXPECT_PRED2(names,
+               problem([](QuerySpec* q) { q->relations[2].table = 99; }),
+               "outside the catalog");
+  EXPECT_PRED2(names,
+               problem([](QuerySpec* q) { q->joins[0].right_rel = 3; }),
+               "outside its 3");
+  EXPECT_PRED2(names, problem([](QuerySpec* q) { q->joins.pop_back(); }),
+               "disconnected");
+}
+
 TEST_F(OptimizerTest, AllTpchQueriesProducePlans) {
   Optimizer pg(db_.catalog, pg_model_);
   Optimizer db2(db_.catalog, db2_model_);
